@@ -69,6 +69,11 @@ class ParseTree:
 
 _TOKEN_SPLIT_RE = re.compile(r"[()\s]")
 
+# Deepest constituent nesting parse_bracketed accepts.  Parser output for a
+# question is about ten levels deep; the tree walks here are recursive, so
+# a far deeper tree is rejected before it can exhaust the interpreter stack.
+MAX_TREE_DEPTH = 200
+
 
 def parse_bracketed(text: str) -> ParseTree:
     """Parse a Penn-style bracketed tree.
@@ -95,8 +100,10 @@ def parse_bracketed(text: str) -> ParseTree:
 
     offset = 0
 
-    def read_node() -> ParseTree:
+    def read_node(depth: int) -> ParseTree:
         nonlocal pos, offset
+        if depth > MAX_TREE_DEPTH:
+            raise TreeSyntaxError(pos, f"tree nested deeper than {MAX_TREE_DEPTH} levels")
         skip_ws()
         if pos >= n or text[pos] != "(":
             raise TreeSyntaxError(pos, "expected '('")
@@ -115,7 +122,7 @@ def parse_bracketed(text: str) -> ParseTree:
             if text[pos] == "(":
                 if leaf_token is not None:
                     raise TreeSyntaxError(pos, "mixed token and constituent content")
-                children.append(read_node())
+                children.append(read_node(depth + 1))
             else:
                 if leaf_token is not None or children:
                     raise TreeSyntaxError(pos, "mixed token and constituent content")
@@ -132,7 +139,7 @@ def parse_bracketed(text: str) -> ParseTree:
         return ParseTree(label, tuple(children), None, children[0].start, children[-1].end)
 
     skip_ws()
-    root = read_node()
+    root = read_node(1)
     skip_ws()
     if pos != n:
         raise TreeSyntaxError(pos, "trailing content after tree")

@@ -1,18 +1,21 @@
 """In-memory RDF triple store with bidirectional adjacency, labels and types.
 
-The store is immutable once built: loading parses an N-Triples stream,
-deduplicates the triples and freezes four indexes (outgoing edges, incoming
-edges, labels, entity types).  Every query method returns a sorted list so
-that all downstream candidate ranking stays deterministic.
+The store is immutable once built: loading streams parsed N-Triples lines
+into the constructor, which deduplicates them and freezes four indexes
+(outgoing edges, incoming edges, labels, entity types).  The outgoing index
+is the only copy of the triple set.  Every query method returns a sorted list
+so that all downstream candidate ranking stays deterministic.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, Union
+from sys import intern
+from typing import IO, Iterable, Iterator, Union
 
 from .errors import GraphQAError
 
@@ -75,8 +78,12 @@ class Triple:
     object: Term
 
 
+# ``\s`` matches exactly the code points for which ``str.isspace`` is true.
+_SPACE_RE = re.compile(r"\s")
+
+
 def is_iri(value: object) -> bool:
-    return isinstance(value, str) and bool(value) and not any(c.isspace() for c in value)
+    return isinstance(value, str) and bool(value) and _SPACE_RE.search(value) is None
 
 
 def pseudo_class_of(lit: Literal) -> str:
@@ -158,41 +165,52 @@ class KnowledgeBase:
         inn: dict[Term, set] = {}
         labels: dict[str, set] = {}
         types: dict[str, set] = {}
-        unique: set[Triple] = set()
+        size = 0
         for t in triples:
-            if not is_iri(t.subject):
-                raise ValueError(f"invalid subject IRI: {t.subject!r}")
-            if not is_iri(t.predicate):
-                raise ValueError(f"invalid predicate IRI: {t.predicate!r}")
-            if isinstance(t.object, str) and not is_iri(t.object):
-                raise ValueError(f"invalid object IRI: {t.object!r}")
-            if t in unique:
+            subject, predicate, obj = t.subject, t.predicate, t.object
+            if not is_iri(subject):
+                raise ValueError(f"invalid subject IRI: {subject!r}")
+            if not is_iri(predicate):
+                raise ValueError(f"invalid predicate IRI: {predicate!r}")
+            if isinstance(obj, str):
+                if not is_iri(obj):
+                    raise ValueError(f"invalid object IRI: {obj!r}")
+                obj = intern(obj)
+            subject, predicate = intern(subject), intern(predicate)
+            pairs = out.get(subject)
+            if pairs is None:
+                pairs = out[subject] = set()
+            elif (predicate, obj) in pairs:
                 continue
-            unique.add(t)
-            out.setdefault(t.subject, set()).add((t.predicate, t.object))
-            inn.setdefault(t.object, set()).add((t.predicate, t.subject))
-            if t.predicate == RDFS_LABEL and isinstance(t.object, Literal):
-                labels.setdefault(t.subject, set()).add(t.object.lexical)
-            if t.predicate == RDF_TYPE and isinstance(t.object, str):
-                types.setdefault(t.subject, set()).add(t.object)
+            pairs.add((predicate, obj))
+            size += 1
+            inn.setdefault(obj, set()).add((predicate, subject))
+            if predicate == RDFS_LABEL and isinstance(obj, Literal):
+                labels.setdefault(subject, set()).add(obj.lexical)
+            if predicate == RDF_TYPE and isinstance(obj, str):
+                types.setdefault(subject, set()).add(obj)
 
-        self._triples = frozenset(unique)
-        self.out_index = {
-            s: sorted(pairs, key=lambda po: (po[0], term_text(po[1])))
-            for s, pairs in out.items()
-        }
-        self.in_index = {
-            o: sorted(pairs) for o, pairs in inn.items()
-        }
+        # Each set is replaced by its sorted list in place, so only one of
+        # the two is alive per node.
+        for s, pairs in out.items():
+            out[s] = sorted(pairs, key=lambda po: (po[0], term_text(po[1])))
+        for o, pairs in inn.items():
+            inn[o] = sorted(pairs)
+        self.out_index = out
+        self.in_index = inn
+        self._size = size
         self._labels = {s: sorted(vals) for s, vals in labels.items()}
         self._types = {s: sorted(vals) for s, vals in types.items()}
 
     @property
     def triples(self) -> frozenset:
-        return self._triples
+        """The deduplicated triple set, rebuilt from ``out_index`` per call."""
+        return frozenset(
+            Triple(s, p, o) for s, pairs in self.out_index.items() for p, o in pairs
+        )
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return self._size
 
     def __contains__(self, node: Term) -> bool:
         return node in self.out_index or node in self.in_index
@@ -226,8 +244,9 @@ class KnowledgeBase:
 
     def to_ntriples(self) -> str:
         lines = sorted(
-            f"{term_text(t.subject)} {term_text(t.predicate)} {term_text(t.object)} ."
-            for t in self._triples
+            f"{term_text(s)} {term_text(p)} {term_text(o)} ."
+            for s, pairs in self.out_index.items()
+            for p, o in pairs
         )
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -305,11 +324,24 @@ def parse_ntriples_line(line: str, lineno: int) -> Triple | None:
     return Triple(subject, predicate, obj)
 
 
+_LINE_END_RE = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _iter_lines(text: str) -> Iterator[str]:
+    """The lines of ``str.splitlines()``, one at a time instead of a list."""
+    start = 0
+    for sep in _LINE_END_RE.finditer(text):
+        yield text[start:sep.start()]
+        start = sep.end()
+    if start < len(text):
+        yield text[start:]
+
+
 def load_ntriples(source: Union[str, bytes, IO]) -> KnowledgeBase:
     """Build a KnowledgeBase from N-Triples text, bytes or a readable stream.
 
-    Raises NTriplesError (with line number) on the first malformed line.
-    An empty input yields a valid empty store.
+    Raises NTriplesError (with line number) on the first malformed line or
+    invalid IRI.  An empty input yields a valid empty store.
     """
     if hasattr(source, "read"):
         data = source.read()
@@ -317,20 +349,30 @@ def load_ntriples(source: Union[str, bytes, IO]) -> KnowledgeBase:
         data = source
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    triples = []
-    for lineno, line in enumerate(data.splitlines(), start=1):
-        try:
-            triple = parse_ntriples_line(line, lineno)
-        except NTriplesError:
-            raise
-        except ValueError as exc:
-            raise NTriplesError(lineno, line, str(exc)) from exc
-        if triple is not None:
-            triples.append(triple)
+    lineno, line = 0, ""
+
+    def parsed() -> Iterator[Triple]:
+        nonlocal lineno, line
+        for lineno, line in enumerate(_iter_lines(data), start=1):
+            try:
+                triple = parse_ntriples_line(line, lineno)
+            except ValueError as exc:
+                raise NTriplesError(lineno, line, str(exc)) from exc
+            if triple is not None:
+                yield triple
+
+    # The build makes no reference cycles and keeps what it indexes, so a
+    # cyclic collection during it would traverse the growing indexes and
+    # free nothing.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        return KnowledgeBase(triples)
+        return KnowledgeBase(parsed())
     except ValueError as exc:
-        raise NTriplesError(0, "", str(exc)) from exc
+        raise NTriplesError(lineno, line, str(exc)) from exc
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def load_ntriples_file(path: str) -> KnowledgeBase:

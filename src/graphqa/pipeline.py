@@ -82,6 +82,11 @@ def answer(
     """Answer one question; never raises, failures land in the trace."""
     trace = AnswerTrace(question=q)
 
+    if not q.question.strip():
+        trace.failed_stage = STAGE_LINKING
+        trace.failure_reason = "empty question"
+        return trace
+
     trace.mentions = detect_mentions(q.question, gaz, cfg.link_threshold)
     if not trace.mentions:
         trace.failed_stage = STAGE_LINKING

@@ -3,6 +3,7 @@ import pytest
 from graphqa.entitylink import MentionLink, detect_mentions
 from graphqa.intent import (
     ANSWER_NODE,
+    MAX_TREE_DEPTH,
     AlignmentError,
     NoStructureError,
     TreeSyntaxError,
@@ -74,6 +75,12 @@ def test_parse_errors():
         parse_bracketed("(NP dog (NN cat))")
     with pytest.raises(TreeSyntaxError):
         parse_bracketed("(NP (NN dog cat))")
+
+
+def test_parse_rejects_nesting_beyond_the_cap():
+    depth = MAX_TREE_DEPTH + 1
+    with pytest.raises(TreeSyntaxError, match="nested deeper"):
+        parse_bracketed("(X " * (depth - 1) + "(NN dog)" + ")" * (depth - 1))
 
 
 def test_align_recovers_question_offsets():

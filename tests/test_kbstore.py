@@ -1,3 +1,4 @@
+import gc
 import io
 
 import pytest
@@ -14,7 +15,9 @@ from graphqa.kbstore import (
     Literal,
     NTriplesError,
     Triple,
+    _iter_lines,
     decamelize,
+    is_iri,
     load_ntriples,
     shorten_iri,
     term_text,
@@ -46,6 +49,14 @@ def test_malformed_line_reports_line_number():
     assert "<http://x/a>" in err.value.text
 
 
+def test_invalid_iri_reports_its_line():
+    bad = "<http://x/a\u00a0b> <http://x/p> <http://x/c> ."
+    with pytest.raises(NTriplesError) as err:
+        load_ntriples(f"<http://x/a> <http://x/p> <http://x/b> .\n{bad}\n")
+    assert err.value.lineno == 2
+    assert err.value.text == bad
+
+
 def test_error_on_missing_dot():
     with pytest.raises(NTriplesError):
         load_ntriples("<http://x/a> <http://x/p> <http://x/b>")
@@ -61,6 +72,15 @@ def test_duplicates_are_removed():
     text = "<http://x/a> <http://x/p> <http://x/b> .\n" * 3
     kb = load_ntriples(text)
     assert len(kb) == 1
+
+
+def test_constructor_counts_duplicates_once():
+    triple = Triple("http://x/a", "http://x/p", "http://x/b")
+    copy = Triple("http://x/" + "a", "http://x/" + "p", "http://x/" + "b")
+    other = Triple("http://x/a", "http://x/p", Literal("b"))
+    kb = KnowledgeBase([triple, copy, other, triple])
+    assert len(kb) == 2
+    assert kb.triples == {triple, other}
 
 
 def test_byte_stream_input():
@@ -134,6 +154,32 @@ def test_types_of_untyped_entity_is_empty(berlin_kb):
 def test_literal_subject_rejected():
     with pytest.raises(ValueError):
         KnowledgeBase([Triple("has space", "http://x/p", "http://x/b")])
+
+
+def test_is_iri_rejects_exactly_the_space_characters():
+    disagree = [c for c in range(0x110000) if is_iri(f"http://x/{chr(c)}") == chr(c).isspace()]
+    assert disagree == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_leaves_collector_state_alone(enabled):
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        load_ntriples("<http://x/a> <http://x/p> <http://x/b> .")
+        assert gc.isenabled() == enabled
+        for bad in ("<http://x/a> <http://x/p>", "<http://x/a\u2003> <http://x/p> <http://x/b> ."):
+            with pytest.raises(NTriplesError):
+                load_ntriples(bad)
+            assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.text(alphabet="a \n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
+def test_lines_split_as_splitlines(text):
+    assert list(_iter_lines(text)) == text.splitlines()
 
 
 def test_fixture_round_trip(berlin_kb, golden_kb):

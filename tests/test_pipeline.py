@@ -1,4 +1,7 @@
+import pytest
+
 from graphqa.entitylink import load_gazetteer
+from graphqa.intent import MAX_TREE_DEPTH
 from graphqa.kbstore import load_ntriples
 from graphqa.lexsim import load_lexicon
 from graphqa.pipeline import (
@@ -51,6 +54,33 @@ def test_bad_tree_is_unprocessed_not_crash(golden_kb, gazetteer, lexicon, config
     trace = answer(golden_kb, gazetteer, lexicon, config, q)
     assert trace.status == STATUS_UNPROCESSED
     assert trace.failed_stage == STAGE_STRUCTURE
+
+
+@pytest.mark.parametrize("text", ["", "   "])
+def test_empty_question_is_unprocessed_at_linking(golden_kb, gazetteer, lexicon, config, text):
+    trace = answer(golden_kb, gazetteer, lexicon, config, QuestionInput("q-x", text, BERLIN_Q.tree))
+    assert trace.status == STATUS_UNPROCESSED
+    assert trace.failed_stage == STAGE_LINKING
+
+
+def _deep_tree(depth):
+    return "(X " * (depth - 1) + "(NNP Berlin)" + ")" * (depth - 1)
+
+
+@pytest.mark.parametrize("depth", [500, 5000])
+def test_deeply_nested_tree_is_unprocessed_at_structure(golden_kb, gazetteer, lexicon, config, depth):
+    q = QuestionInput("q-x", "Who is the mayor of Berlin?", _deep_tree(depth))
+    trace = answer(golden_kb, gazetteer, lexicon, config, q)
+    assert trace.status == STATUS_UNPROCESSED
+    assert trace.failed_stage == STAGE_STRUCTURE
+    assert "nested deeper" in trace.failure_reason
+
+
+def test_deepest_allowed_tree_gives_a_trace(golden_kb, gazetteer, lexicon, config):
+    q = QuestionInput("q-x", "Berlin", _deep_tree(MAX_TREE_DEPTH))
+    trace = answer(golden_kb, gazetteer, lexicon, config, q)
+    assert trace.failed_stage == STAGE_STRUCTURE
+    assert "nested deeper" not in trace.failure_reason
 
 
 def test_unknown_seed_is_unprocessed_at_traversal(berlin_kb, gazetteer, lexicon, config):
