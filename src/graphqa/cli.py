@@ -77,7 +77,7 @@ def _load_resources(args):
         lex = load_lexicon_file(args.lexicon)
         prefixes = load_prefixes(args.prefixes) if args.prefixes else None
         coarse = load_coarse_classes(args.types_config) if args.types_config else None
-    except (GraphQAError, OSError) as exc:
+    except (GraphQAError, OSError, UnicodeDecodeError) as exc:
         raise ResourceFailure(str(exc)) from exc
     try:
         ranker = RankerConfig(

@@ -8,12 +8,11 @@ interrogative part, whose last word is the headword used for type scoring.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import GraphQAError
 from .intent import ParseTree, find_interrogative
-from .kbstore import DATE_CLASS, KnowledgeBase, Term, term_text
+from .kbstore import DATE_CLASS, KnowledgeBase, Term, read_json_object, term_text
 from .lexsim import SimilarityLexicon, tokenize, word_similarity
 
 FOAF_PERSON = "http://xmlns.com/foaf/0.1/Person"
@@ -53,15 +52,14 @@ class Focus:
 
 def load_coarse_classes(path: str) -> dict[str, tuple[str, ...]]:
     """Read a JSON override of the coarse-type to class-IRI map."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise GraphQAError(f"type map {path}: expected a JSON object")
+    data = read_json_object(path, "type map")
     table = dict(DEFAULT_COARSE_CLASSES)
     for coarse, classes in data.items():
         if coarse not in DEFAULT_COARSE_CLASSES:
             raise GraphQAError(f"type map {path}: unknown coarse type {coarse!r}")
-        table[coarse] = tuple(str(c) for c in classes)
+        if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
+            raise GraphQAError(f"type map {path}: classes of {coarse!r} must be a list of strings")
+        table[coarse] = tuple(classes)
     return table
 
 
@@ -92,16 +90,24 @@ def extract_focus(question: str, tree: ParseTree) -> Focus:
     return Focus(phrase=" ".join(run), headword=run[-1])
 
 
-def _headword_label_score(
-    kb: KnowledgeBase, class_iri: str, headword: str, lex: SimilarityLexicon
+def label_score(
+    kb: KnowledgeBase, iri: str, words: list[str], lex: SimilarityLexicon
 ) -> float:
+    """Best label of ``iri`` against ``words``, in [0, 1].
+
+    Every word of a label takes its best similarity against ``words``; a
+    label scores the mean of its word scores; ``iri`` scores its best label.
+    No words score 0.
+    """
+    if not words:
+        return 0.0
     best = 0.0
-    for label in kb.labels_of(class_iri):
-        words = tokenize(label)
-        if not words:
+    for label in kb.labels_of(iri):
+        label_words = tokenize(label)
+        if not label_words:
             continue
-        per_word = [word_similarity(lex, w, headword) for w in words]
-        best = max(best, sum(per_word) / len(per_word))
+        word_scores = [max(word_similarity(lex, w, tw) for tw in words) for w in label_words]
+        best = max(best, sum(word_scores) / len(word_scores))
     return best
 
 
@@ -116,8 +122,8 @@ def type_score(
 
     With a coarse type the per-answer score is binary against the canonical
     classes; otherwise the headword is matched against the labels of each
-    answer's declared types with the same word-matching scheme used for
-    predicate ranking.  An empty focus scores 0.
+    answer's declared types by ``label_score``, the scorer predicate ranking
+    uses.  An empty focus scores 0.
     """
     if f.is_empty or not answers:
         return 0.0
@@ -131,10 +137,10 @@ def type_score(
         for answer in ordered:
             scores.append(1.0 if wanted.intersection(kb.types_of(answer)) else 0.0)
     else:
-        headword = f.headword
+        words = [f.headword]
         for answer in ordered:
             best = 0.0
             for cls in kb.types_of(answer):
-                best = max(best, _headword_label_score(kb, cls, headword, lex))
+                best = max(best, label_score(kb, cls, words, lex))
             scores.append(best)
     return sum(scores) / len(scores)

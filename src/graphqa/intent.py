@@ -421,7 +421,7 @@ def extract_structure(tree: ParseTree, mentions: Sequence[MentionLink]) -> Inten
         raise NoStructureError("no topological pattern matched")
 
     edges_final = _order_and_validate(edges)
-    k = _hop_bound(edges_final)
+    k = 2 if edges_final[-1].source.kind == VAR else 1  # a chain, else one hop
     nodes: list[StructNode] = [ANSWER_NODE]
     for edge in edges_final:
         for node in (edge.source, edge.target):
@@ -457,23 +457,3 @@ def _order_and_validate(edges: list[StructEdge]) -> list[StructEdge]:
         return [outer, inner]
     raise NoStructureError("unsupported two-edge structure")
 
-
-def _hop_bound(edges: list[StructEdge]) -> int:
-    # longest structure distance from any node to the answer wildcard
-    adjacency: dict[StructNode, set[StructNode]] = {}
-    for edge in edges:
-        adjacency.setdefault(edge.source, set()).add(edge.target)
-        adjacency.setdefault(edge.target, set()).add(edge.source)
-    dist = {ANSWER_NODE: 0}
-    frontier = [ANSWER_NODE]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for other in adjacency.get(node, ()):
-                if other not in dist:
-                    dist[other] = dist[node] + 1
-                    nxt.append(other)
-        frontier = nxt
-    if len(dist) != len(adjacency):
-        raise NoStructureError("structure is not connected")
-    return max(dist.values())

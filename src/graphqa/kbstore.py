@@ -54,7 +54,7 @@ class NTriplesError(GraphQAError):
         super().__init__(f"line {lineno}: {reason}: {text.strip()!r}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Literal:
     """An RDF literal value tagged with its datatype (and optional language)."""
 
@@ -380,13 +380,25 @@ def load_ntriples_file(path: str) -> KnowledgeBase:
         return load_ntriples(handle)
 
 
+def read_json_object(path: str, what: str) -> dict:
+    """Read a JSON file whose top level is an object; ``what`` names it in errors."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            data = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise GraphQAError(f"{what} {path}: invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise GraphQAError(f"{what} {path}: expected a JSON object")
+    return data
+
+
 def load_prefixes(path: str) -> dict[str, str]:
     """Read a display-only prefix map, a JSON object {prefix: namespace}."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise GraphQAError(f"prefix map {path}: expected a JSON object")
-    return {str(k): str(v) for k, v in data.items()}
+    data = read_json_object(path, "prefix map")
+    for prefix, ns in data.items():
+        if not isinstance(ns, str):
+            raise GraphQAError(f"prefix map {path}: namespace of {prefix!r} must be a string")
+    return data
 
 
 def shorten_iri(iri: str, prefixes: dict[str, str] | None) -> str:

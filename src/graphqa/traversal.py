@@ -2,12 +2,13 @@
 
 Traversal roots a breadth-first neighborhood at the seed entities (merged
 across seeds, literals are leaves), then binds the intent structure's edges
-to predicates inside that neighborhood.  Each step keeps the best `beam`
-predicates by label-vs-phrase similarity, bindings with any step below the
-similarity threshold are dropped, and surviving bindings that share the same
-predicates and intermediate nodes are grouped into one candidate whose
-answer set is the whole group.  A candidate's total is the mean of its step
-scores plus the answer-type score.
+to predicates inside that neighborhood, from the last edge to the first, so
+each edge starts at a seed or at an already-bound variable.  Each step keeps
+the best `beam` predicates by label-vs-phrase similarity, bindings with any
+step below the similarity threshold are dropped, and surviving bindings that
+share the same predicates and intermediate nodes are grouped into one
+candidate whose answer set is the whole group.  A candidate's total is the
+mean of its step scores plus the answer-type score.
 
 Traversal is deliberately blind to edge direction, which reproduces a known
 failure mode (a reversed role binds just as well); `respect_direction`
@@ -21,10 +22,11 @@ import logging
 from dataclasses import dataclass, field
 
 from .errors import GraphQAError
-from .focus import Focus, type_score
-from .intent import ANSWER, IntentStructure, StructEdge
+from .focus import Focus, label_score, type_score
+from .intent import ANSWER, VAR, IntentStructure
 from .kbstore import Direction, KnowledgeBase, Literal, Term, term_text
-from .lexsim import SimilarityLexicon, tokenize, word_similarity
+# unused here; perfbench/tracing.py wraps word_similarity in this module too
+from .lexsim import SimilarityLexicon, tokenize, word_similarity  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -127,35 +129,17 @@ def predicate_score(
 ) -> float:
     """Label-vs-phrase similarity of one predicate, in [0, 1].
 
-    Every word of a predicate label takes its best similarity against the
-    phrase words; a label scores the mean of its word scores; the predicate
-    scores its best label.  When an extra phrase is supplied (the focus, for
+    The phrase words are scored against the predicate's labels by
+    ``focus.label_score``.  When an extra phrase is supplied (the focus, for
     the step next to the answer) the better of the two phrase scores wins.
     """
-    score = _phrase_score(kb, predicate, phrase, lex, warn=True)
+    words = tokenize(phrase)
+    if not words:
+        logger.warning("phrase %r has no content words; predicate %s scores 0", phrase, predicate)
+    score = label_score(kb, predicate, words, lex)
     if extra_phrase:
-        score = max(score, _phrase_score(kb, predicate, extra_phrase, lex, warn=False))
+        score = max(score, label_score(kb, predicate, tokenize(extra_phrase), lex))
     return score
-
-
-def _phrase_score(
-    kb: KnowledgeBase, predicate: str, phrase: str, lex: SimilarityLexicon, warn: bool
-) -> float:
-    phrase_words = tokenize(phrase)
-    if not phrase_words:
-        if warn:
-            logger.warning("phrase %r has no content words; predicate %s scores 0", phrase, predicate)
-        return 0.0
-    best = 0.0
-    for label in kb.labels_of(predicate):
-        label_words = tokenize(label)
-        if not label_words:
-            continue
-        word_scores = [
-            max(word_similarity(lex, w, tw) for tw in phrase_words) for w in label_words
-        ]
-        best = max(best, sum(word_scores) / len(word_scores))
-    return best
 
 
 @dataclass(frozen=True)
@@ -192,6 +176,9 @@ def _direction_label(directions: set[Direction]) -> str:
     return next(iter(directions)).value
 
 
+_Targets = dict[Term, set[Direction]]
+
+
 class _Ranker:
     def __init__(self, kb, sub, structure, f, lex, cfg, coarse_classes=None):
         self.kb = kb
@@ -202,6 +189,7 @@ class _Ranker:
         self.cfg = cfg
         self.coarse_classes = coarse_classes
         self.extra = f.phrase or None
+        self.memo: dict[tuple[int, Term], list[tuple[str, float, _Targets]]] = {}
 
     def admissible_edges(self, node: Term) -> list[tuple[str, Term, Direction]]:
         edges = self.sub.adjacency.get(node, ())
@@ -209,107 +197,76 @@ class _Ranker:
             return [e for e in edges if e[2] is Direction.OUT]
         return list(edges)
 
-    def candidate_predicates(
-        self, node: Term, phrase: str, with_extra: bool
-    ) -> list[tuple[str, float]]:
-        """Distinct predicates around ``node`` scored against ``phrase``,
-        beam-limited then threshold-filtered."""
-        preds = sorted({pred for pred, _other, _d in self.admissible_edges(node)})
-        scored = [
-            (pred, predicate_score(self.kb, pred, phrase, self.lex,
-                                   self.extra if with_extra else None))
-            for pred in preds
-        ]
-        scored.sort(key=lambda ps: (-ps[1], ps[0]))
-        kept = scored[: self.cfg.beam]
-        return [(pred, s) for pred, s in kept if s >= self.cfg.tau]
+    def candidates(self, i: int, anchor: Term) -> list[tuple[str, float, _Targets]]:
+        """Distinct predicates around ``anchor`` scored against edge ``i``'s
+        phrase, beam-limited then threshold-filtered, each with its targets.
+        Memoized per (edge, anchor) for the ranking run."""
+        key = (i, anchor)
+        if key not in self.memo:
+            edge = self.structure.edges[i]
+            extra = self.extra if edge.source.kind == ANSWER else None
+            preds = sorted({pred for pred, _other, _d in self.admissible_edges(anchor)})
+            scored = [
+                (pred, predicate_score(self.kb, pred, edge.phrase, self.lex, extra))
+                for pred in preds
+            ]
+            scored.sort(key=lambda ps: (-ps[1], ps[0]))
+            self.memo[key] = [
+                (pred, s, self.targets(anchor, pred))
+                for pred, s in scored[: self.cfg.beam]
+                if s >= self.cfg.tau
+            ]
+        return self.memo[key]
 
-    def targets(self, node: Term, predicate: str) -> dict[Term, set[Direction]]:
-        out: dict[Term, set[Direction]] = {}
+    def targets(self, node: Term, predicate: str) -> _Targets:
+        out: _Targets = {}
         for pred, other, direction in self.admissible_edges(node):
             if pred == predicate:
                 out.setdefault(other, set()).add(direction)
         return out
 
-    def score_answers(self, answers: frozenset[Term]) -> float:
-        return type_score(self.kb, answers, self.focus, self.lex, self.coarse_classes)
-
     def rank(self) -> list[CandidatePath]:
-        edges = self.structure.edges
-        if len(edges) == 1:
-            paths = self._rank_single(edges[0])
-        elif all(e.source.kind == ANSWER for e in edges):
-            paths = self._rank_triangle(edges[0], edges[1])
-        else:
-            paths = self._rank_chain(edges[0], edges[1])
+        paths: list[CandidatePath] = []
+        self.bind(len(self.structure.edges) - 1, {}, (), paths)
         paths.sort(key=_path_sort_key)
         if not paths:
             raise NoPathError("no candidate path matches the structure")
         return paths
 
-    def _rank_single(self, edge: StructEdge) -> list[CandidatePath]:
-        seed = edge.target.name
-        paths = []
-        for pred, score in self.candidate_predicates(seed, edge.phrase, with_extra=True):
-            bound = self.targets(seed, pred)
-            if not bound:
+    def bind(self, i: int, env: dict[str, Term], picks: tuple, paths: list) -> None:
+        """Bind edges ``i`` down to 0.  Each edge starts from its target, a
+        seed or a variable that ``env`` binds already; ``picks`` holds the
+        (predicate, score, targets) of edges ``i + 1`` onwards."""
+        if i < 0:
+            self.emit(env, picks, paths)
+            return
+        edge = self.structure.edges[i]
+        anchor = env[edge.target.name] if edge.target.kind == VAR else edge.target.name
+        for pred, score, bound in self.candidates(i, anchor):
+            if edge.source.kind == ANSWER:
+                self.bind(i - 1, env, ((pred, score, bound),) + picks, paths)
                 continue
-            answers = frozenset(bound)
-            directions = set().union(*bound.values())
-            step = PathStep(0, edge.phrase, pred, _direction_label(directions), score)
-            ts = self.score_answers(answers)
-            paths.append(CandidatePath((step,), (), answers, score, ts, score + ts))
-        return paths
+            for node in sorted(bound, key=term_text):
+                pick = (pred, score, {node: bound[node]})
+                self.bind(i - 1, {**env, edge.source.name: node}, (pick,) + picks, paths)
 
-    def _rank_triangle(self, first: StructEdge, second: StructEdge) -> list[CandidatePath]:
-        seed_a, seed_b = first.target.name, second.target.name
-        cands_a = self.candidate_predicates(seed_a, first.phrase, with_extra=True)
-        cands_b = self.candidate_predicates(seed_b, second.phrase, with_extra=True)
-        paths = []
-        for pred_a, score_a in cands_a:
-            bound_a = self.targets(seed_a, pred_a)
-            for pred_b, score_b in cands_b:
-                bound_b = self.targets(seed_b, pred_b)
-                common = frozenset(bound_a) & frozenset(bound_b)
-                if not common:
-                    continue
-                dirs_a = set().union(*(bound_a[n] for n in common))
-                dirs_b = set().union(*(bound_b[n] for n in common))
-                steps = (
-                    PathStep(0, first.phrase, pred_a, _direction_label(dirs_a), score_a),
-                    PathStep(1, second.phrase, pred_b, _direction_label(dirs_b), score_b),
-                )
-                mean = (score_a + score_b) / 2
-                ts = self.score_answers(common)
-                paths.append(CandidatePath(steps, (), common, mean, ts, mean + ts))
-        return paths
-
-    def _rank_chain(self, ans_edge: StructEdge, seed_edge: StructEdge) -> list[CandidatePath]:
-        seed = seed_edge.target.name
-        var_name = seed_edge.source.name
-        paths = []
-        for pred_s, score_s in self.candidate_predicates(seed, seed_edge.phrase, with_extra=False):
-            for var_node, var_dirs in sorted(
-                self.targets(seed, pred_s).items(), key=lambda kv: term_text(kv[0])
-            ):
-                for pred_a, score_a in self.candidate_predicates(
-                    var_node, ans_edge.phrase, with_extra=True
-                ):
-                    bound = self.targets(var_node, pred_a)
-                    if not bound:
-                        continue
-                    answers = frozenset(bound)
-                    dirs_a = set().union(*bound.values())
-                    steps = (
-                        PathStep(0, ans_edge.phrase, pred_a, _direction_label(dirs_a), score_a),
-                        PathStep(1, seed_edge.phrase, pred_s, _direction_label(var_dirs), score_s),
-                    )
-                    mean = (score_a + score_s) / 2
-                    ts = self.score_answers(answers)
-                    paths.append(
-                        CandidatePath(steps, ((var_name, var_node),), answers, mean, ts, mean + ts)
-                    )
-        return paths
+    def emit(self, env: dict[str, Term], picks: tuple, paths: list) -> None:
+        edges = self.structure.edges
+        answers = frozenset.intersection(*(
+            frozenset(bound) for edge, (_p, _s, bound) in zip(edges, picks)
+            if edge.source.kind == ANSWER
+        ))
+        if not answers:
+            return
+        steps = []
+        for i, (edge, (pred, score, bound)) in enumerate(zip(edges, picks)):
+            # answer steps take the directions to the answers, a variable step to its node
+            nodes = answers if edge.source.kind == ANSWER else bound
+            directions = set().union(*(bound[n] for n in nodes))
+            steps.append(PathStep(i, edge.phrase, pred, _direction_label(directions), score))
+        mean = sum(step.score for step in steps) / len(steps)
+        ts = type_score(self.kb, answers, self.focus, self.lex, self.coarse_classes)
+        paths.append(CandidatePath(tuple(steps), tuple(env.items()), answers, mean, ts, mean + ts))
 
 
 def enumerate_and_rank(

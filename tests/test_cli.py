@@ -150,3 +150,27 @@ def test_repeated_eval_is_byte_identical():
     first = run_cli(["eval", *resource_args(), "--dataset", fixture_path("golden.jsonl")])
     second = run_cli(["eval", *resource_args(), "--dataset", fixture_path("golden.jsonl")])
     assert first == second
+
+
+@pytest.mark.parametrize("option, content", [
+    ("--types-config", "{not json"),
+    ("--prefixes", "{not json"),
+    ("--prefixes", '{"dbo": 5}'),
+    ("--types-config", '{"Person": 5}'),
+    ("--types-config", '{"Person": [5]}'),
+    ("--types-config", '{"Person": "http://xmlns.com/foaf/0.1/Person"}'),
+])
+def test_bad_json_resource_exits_two(tmp_path, capsys, option, content):
+    path = tmp_path / "resource.json"
+    path.write_text(content)
+    argv = ["ask", *resource_args(), option, str(path), BERLIN_Q, BERLIN_TREE]
+    assert main(argv) == EXIT_RESOURCE
+    assert str(path) in capsys.readouterr().err
+
+
+def test_non_utf8_kb_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.nt"
+    path.write_bytes('<http://example.org/a> <http://example.org/p> "café" .\n'.encode("latin-1"))
+    argv = ["ask", *resource_args(), "--kb", str(path), BERLIN_Q, BERLIN_TREE]
+    assert main(argv) == EXIT_RESOURCE
+    assert "utf-8" in capsys.readouterr().err

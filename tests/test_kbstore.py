@@ -243,3 +243,7 @@ def test_neighbors_sorted_deterministically(kb, node):
     edges = kb.neighbors(node)
     keys = [(p, term_text(o), d.value) for p, o, d in edges]
     assert keys == sorted(keys)
+
+
+def test_literal_has_no_instance_dict():
+    assert not hasattr(Literal("1999", XSD + "gYear"), "__dict__")
