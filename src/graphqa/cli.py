@@ -70,15 +70,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_resources(args):
+def _load(loader, path):
     try:
-        kb = load_ntriples_file(args.kb)
-        gaz = load_gazetteer_file(args.gazetteer)
-        lex = load_lexicon_file(args.lexicon)
-        prefixes = load_prefixes(args.prefixes) if args.prefixes else None
-        coarse = load_coarse_classes(args.types_config) if args.types_config else None
-    except (GraphQAError, OSError, UnicodeDecodeError) as exc:
+        return loader(path)
+    except UnicodeDecodeError as exc:
+        raise ResourceFailure(f"{path}: {exc}") from exc
+    except (GraphQAError, OSError) as exc:
         raise ResourceFailure(str(exc)) from exc
+
+
+def _load_resources(args):
+    kb = _load(load_ntriples_file, args.kb)
+    gaz = _load(load_gazetteer_file, args.gazetteer)
+    lex = _load(load_lexicon_file, args.lexicon)
+    prefixes = _load(load_prefixes, args.prefixes) if args.prefixes else None
+    coarse = _load(load_coarse_classes, args.types_config) if args.types_config else None
     try:
         ranker = RankerConfig(
             tau=args.tau,

@@ -16,6 +16,7 @@ from enum import Enum
 from typing import IO, Mapping, Union
 
 from .errors import GraphQAError
+from .kbstore import collector_paused
 
 DEFAULT_LINK_THRESHOLD = 0.15
 
@@ -60,6 +61,7 @@ def normalize_surface(text: str) -> str:
     return " ".join(_WORD_RE.findall(text.casefold()))
 
 
+@collector_paused()
 def load_gazetteer(source: Union[str, IO], path_name: str = "<gazetteer>") -> Gazetteer:
     """Parse a TSV gazetteer: ``surface TAB iri TAB prior TAB kind``."""
     if hasattr(source, "read"):

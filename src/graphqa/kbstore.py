@@ -10,8 +10,10 @@ so that all downstream candidate ranking stays deterministic.
 from __future__ import annotations
 
 import gc
+import io
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from sys import intern
@@ -46,12 +48,16 @@ _NUMBER_DATATYPES = frozenset(
 
 
 class NTriplesError(GraphQAError):
-    """Malformed N-Triples input; carries the line number and the raw line."""
+    """Malformed N-Triples input; carries the line number, the raw line and
+    the reason.  The message starts with the file's path when one is given."""
 
-    def __init__(self, lineno: int, text: str, reason: str = "malformed triple"):
+    def __init__(self, lineno: int, text: str, reason: str = "malformed triple",
+                 path: str | None = None):
         self.lineno = lineno
         self.text = text
-        super().__init__(f"line {lineno}: {reason}: {text.strip()!r}")
+        self.reason = reason
+        where = f"{path} line" if path else "line"
+        super().__init__(f"{where} {lineno}: {reason}: {text.strip()!r}")
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -251,133 +257,126 @@ class KnowledgeBase:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-_IRI_RE = re.compile(r"<([^<>\"{}|^`\\\x00-\x20]*)>")
-_BNODE_RE = re.compile(r"_:[A-Za-z][A-Za-z0-9_.-]*")
-_QUOTED_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
-_LANG_RE = re.compile(r"@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*)")
+# The bodies of the term regexes: IRI, blank node, quoted lexical form, language tag.
+_IRI = r"<([^<>\"{}|^`\\\x00-\x20]*)>"
+_BNODE = r"(_:[A-Za-z][A-Za-z0-9_.-]*)"
+_QUOTED = r'"((?:[^"\\]|\\.)*)"'
+_LANG = r"@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*)"
 
-
-class _LineScanner:
-    def __init__(self, line: str):
-        self.line = line
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.line) and self.line[self.pos] in " \t":
-            self.pos += 1
-
-    def take(self, regex: re.Pattern) -> re.Match | None:
-        match = regex.match(self.line, self.pos)
-        if match:
-            self.pos = match.end()
-        return match
-
-
-def _parse_term(scan: _LineScanner, allow_literal: bool) -> Term | None:
-    scan.skip_ws()
-    m = scan.take(_IRI_RE)
-    if m:
-        iri = m.group(1)
-        return iri if iri else None
-    m = scan.take(_BNODE_RE)
-    if m:
-        return m.group(0)
-    if not allow_literal:
-        return None
-    m = scan.take(_QUOTED_RE)
-    if m:
-        lexical = _unescape_literal(m.group(1))
-        lang_m = scan.take(_LANG_RE)
-        if lang_m:
-            return Literal(lexical, XSD_STRING, lang_m.group(1))
-        if scan.line.startswith("^^", scan.pos):
-            scan.pos += 2
-            dt = scan.take(_IRI_RE)
-            if not dt or not dt.group(1):
-                return None
-            return Literal(lexical, dt.group(1))
-        return Literal(lexical)
-    return None
+# One match per line.  Every term is optional and the pattern ends in a
+# catch-all, so the first path the engine tries always succeeds: each term
+# takes what its own regex would take at that point and is never shortened
+# to let a later part match (``_:b.`` keeps its dot, so the line has none).
+_LINE_RE = re.compile(
+    rf"[ \t]*(?:{_IRI}|{_BNODE})?[ \t]*(?:{_IRI}|{_BNODE})?[ \t]*"
+    rf"(?:{_IRI}|{_BNODE}|{_QUOTED}(?:{_LANG}|(\^\^)(?:{_IRI})?)?)?"
+    r"[ \t]*(\.)?[ \t]*(?s:(.*))"
+)
+_PIECE_RE = re.compile(r"[^\n]*\n|[^\n]+")
 
 
 def parse_ntriples_line(line: str, lineno: int) -> Triple | None:
     """Parse one N-Triples line; blank lines and ``#`` comments yield None."""
-    stripped = line.strip()
-    if not stripped or stripped.startswith("#"):
-        return None
-    scan = _LineScanner(line)
-    subject = _parse_term(scan, allow_literal=False)
-    predicate = _parse_term(scan, allow_literal=False)
-    obj = _parse_term(scan, allow_literal=True)
+    (s_iri, s_bnode, p_iri, p_bnode, o_iri, o_bnode,
+     lexical, lang, caret, datatype, dot, rest) = _LINE_RE.match(line).groups()
+    # A line whose subject matched at all is neither blank nor a comment.
+    if s_iri is None and s_bnode is None:
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            return None
+    # ``<>`` matches with an empty IRI, which makes the term missing.
+    subject = s_iri or s_bnode
+    predicate = p_iri or p_bnode
+    if lexical is None:
+        obj = o_iri or o_bnode
+    else:
+        if "\\" in lexical:
+            lexical = _unescape_literal(lexical)
+        if lang is not None:
+            obj = Literal(lexical, XSD_STRING, lang)
+        elif caret is None:
+            obj = Literal(lexical)
+        else:
+            obj = Literal(lexical, datatype) if datatype else None
     if subject is None or predicate is None or obj is None:
         raise NTriplesError(lineno, line)
-    if isinstance(predicate, str) and predicate.startswith("_:"):
+    if predicate.startswith("_:"):
         raise NTriplesError(lineno, line, "blank node predicate")
-    scan.skip_ws()
-    if not scan.line.startswith(".", scan.pos):
+    if dot is None:
         raise NTriplesError(lineno, line, "missing terminating '.'")
-    scan.pos += 1
-    scan.skip_ws()
-    rest = scan.line[scan.pos:].strip()
+    rest = rest.strip()
     if rest and not rest.startswith("#"):
         raise NTriplesError(lineno, line, "trailing content after '.'")
     return Triple(subject, predicate, obj)
 
 
-_LINE_END_RE = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+def _read_lines(source: Union[str, bytes, IO]) -> Iterator[str]:
+    """The lines of ``str.splitlines()`` over the whole input, read one
+    newline-terminated piece at a time; bytes are decoded as UTF-8."""
+    if isinstance(source, str):
+        # Not io.StringIO: it copies the text into 4 bytes per character.
+        source = (m.group() for m in _PIECE_RE.finditer(source))
+    elif isinstance(source, bytes):
+        source = io.BytesIO(source)
+    count = 0
+    for piece in source:
+        if isinstance(piece, bytes):
+            try:
+                piece = piece.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                # Report the line with the bad byte; a piece can hold several.
+                head = piece[:exc.start].decode("utf-8")
+                index = len((head + "x").splitlines()) - 1
+                text = piece.decode("utf-8", "backslashreplace").splitlines()[index]
+                raise NTriplesError(count + index + 1, text,
+                                    f"invalid utf-8 byte {piece[exc.start]:#04x}") from exc
+        lines = piece.splitlines()
+        count += len(lines)
+        yield from lines
 
 
-def _iter_lines(text: str) -> Iterator[str]:
-    """The lines of ``str.splitlines()``, one at a time instead of a list."""
-    start = 0
-    for sep in _LINE_END_RE.finditer(text):
-        yield text[start:sep.start()]
-        start = sep.end()
-    if start < len(text):
-        yield text[start:]
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic collector, then restore its state.  Loaders make no
+    cycles, so a collection would only traverse what they build."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
+@collector_paused()
 def load_ntriples(source: Union[str, bytes, IO]) -> KnowledgeBase:
     """Build a KnowledgeBase from N-Triples text, bytes or a readable stream.
 
-    Raises NTriplesError (with line number) on the first malformed line or
-    invalid IRI.  An empty input yields a valid empty store.
+    Raises NTriplesError (with line number) on the first malformed line,
+    invalid IRI or byte that is not UTF-8.  An empty input yields a valid
+    empty store.
     """
-    if hasattr(source, "read"):
-        data = source.read()
-    else:
-        data = source
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     lineno, line = 0, ""
 
     def parsed() -> Iterator[Triple]:
         nonlocal lineno, line
-        for lineno, line in enumerate(_iter_lines(data), start=1):
-            try:
-                triple = parse_ntriples_line(line, lineno)
-            except ValueError as exc:
-                raise NTriplesError(lineno, line, str(exc)) from exc
+        for lineno, line in enumerate(_read_lines(source), start=1):
+            triple = parse_ntriples_line(line, lineno)
             if triple is not None:
                 yield triple
 
-    # The build makes no reference cycles and keeps what it indexes, so a
-    # cyclic collection during it would traverse the growing indexes and
-    # free nothing.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
     try:
         return KnowledgeBase(parsed())
     except ValueError as exc:
         raise NTriplesError(lineno, line, str(exc)) from exc
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
 
 def load_ntriples_file(path: str) -> KnowledgeBase:
     with open(path, "rb") as handle:
-        return load_ntriples(handle)
+        try:
+            return load_ntriples(handle)
+        except NTriplesError as exc:
+            raise NTriplesError(exc.lineno, exc.text, exc.reason, path) from exc
 
 
 def read_json_object(path: str, what: str) -> dict:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import IO, Mapping, Union
 
 from .errors import GraphQAError
+from .kbstore import collector_paused
 
 STEM_MATCH_SCORE = 0.8
 
@@ -86,6 +87,7 @@ def word_similarity(lex: SimilarityLexicon, w1: str, w2: str) -> float:
     return 0.0
 
 
+@collector_paused()
 def load_lexicon(source: Union[str, IO], path_name: str = "<lexicon>") -> SimilarityLexicon:
     """Parse a TSV lexicon: ``word1 <TAB> word2 <TAB> score``, ``#`` comments."""
     if hasattr(source, "read"):

@@ -174,3 +174,18 @@ def test_non_utf8_kb_exits_two(tmp_path, capsys):
     argv = ["ask", *resource_args(), "--kb", str(path), BERLIN_Q, BERLIN_TREE]
     assert main(argv) == EXIT_RESOURCE
     assert "utf-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, content, reason", [
+    ("--kb", '<http://example.org/a> <http://example.org/p> "café" .\n'.encode("latin-1"),
+     " line 1: invalid utf-8 byte 0xe9"),
+    ("--kb", b"<http://example.org/a> <http://example.org/p> .\n", " line 1: malformed triple"),
+    ("--gazetteer", "Café\thttp://example.org/Cafe\t0.9\tResource\n".encode("latin-1"), ": 'utf-8' codec"),
+    ("--lexicon", "café\tbar\t0.5\n".encode("latin-1"), ": 'utf-8' codec"),
+])
+def test_bad_resource_file_is_named(tmp_path, capsys, option, content, reason):
+    path = tmp_path / "resource.txt"
+    path.write_bytes(content)
+    argv = ["ask", *resource_args(), option, str(path), BERLIN_Q, BERLIN_TREE]
+    assert main(argv) == EXIT_RESOURCE
+    assert f"{path}{reason}" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphqa.entitylink import GazetteerError, load_gazetteer
 from graphqa.kbstore import (
     DATE_CLASS,
     NUMBER_CLASS,
@@ -15,13 +16,14 @@ from graphqa.kbstore import (
     Literal,
     NTriplesError,
     Triple,
-    _iter_lines,
+    _read_lines,
     decamelize,
     is_iri,
     load_ntriples,
     shorten_iri,
     term_text,
 )
+from graphqa.lexsim import LexiconError, load_lexicon
 
 RES = "http://dbpedia.org/resource/"
 DBO = "http://dbpedia.org/ontology/"
@@ -166,20 +168,47 @@ def test_load_leaves_collector_state_alone(enabled):
     was_enabled = gc.isenabled()
     try:
         gc.enable() if enabled else gc.disable()
-        load_ntriples("<http://x/a> <http://x/p> <http://x/b> .")
-        assert gc.isenabled() == enabled
-        for bad in ("<http://x/a> <http://x/p>", "<http://x/a\u2003> <http://x/p> <http://x/b> ."):
-            with pytest.raises(NTriplesError):
-                load_ntriples(bad)
+        loads = [
+            (load_ntriples, "<http://x/a> <http://x/p> <http://x/b> .", NTriplesError,
+             ["<http://x/a> <http://x/p>", "<http://x/a\u2003> <http://x/p> <http://x/b> .",
+              b"<http://x/a> <http://x/p> \"\xe9\" ."]),
+            (load_gazetteer, "Berlin\thttp://x/Berlin\t0.9\tResource", GazetteerError,
+             ["Berlin\thttp://x/Berlin", "Berlin\thttp://x/Berlin\t2\tResource"]),
+            (load_lexicon, "mayor\tleader\t0.7", LexiconError, ["mayor\tleader", "a\tb\tx"]),
+        ]
+        for load, good, error, bads in loads:
+            load(good)
             assert gc.isenabled() == enabled
+            for bad in bads:
+                with pytest.raises(error):
+                    load(bad)
+                assert gc.isenabled() == enabled
     finally:
         gc.enable() if was_enabled else gc.disable()
 
 
+_line_text = st.lists(
+    st.sampled_from(["a", "\u00e9", " ", "\r\n", *"\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"])
+).map("".join)
+
+
 @settings(max_examples=200, derandomize=True)
-@given(st.text(alphabet="a \n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
+@given(_line_text)
 def test_lines_split_as_splitlines(text):
-    assert list(_iter_lines(text)) == text.splitlines()
+    data = text.encode("utf-8")
+    for source in (text, data, io.BytesIO(data), io.StringIO(text)):
+        assert list(_read_lines(source)) == text.splitlines()
+
+
+@pytest.mark.parametrize("sep", ["\n", "\r\n", "\r", "\u2028"])
+def test_non_utf8_byte_reports_its_line(sep):
+    good = '<http://x/a> <http://x/p> "ok" .'
+    lines = [good.encode(), good.encode(), '<http://x/a> <http://x/p> "caf\u00e9" .'.encode("latin-1")]
+    with pytest.raises(NTriplesError) as err:
+        load_ntriples(sep.encode().join(lines) + b"\n")
+    assert err.value.lineno == 3
+    assert err.value.text == '<http://x/a> <http://x/p> "caf\\xe9" .'
+    assert "utf-8" in str(err.value)
 
 
 def test_fixture_round_trip(berlin_kb, golden_kb):

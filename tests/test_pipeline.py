@@ -1,6 +1,11 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphqa.entitylink import load_gazetteer
+from graphqa.evalkit import load_dataset
 from graphqa.intent import MAX_TREE_DEPTH
 from graphqa.kbstore import load_ntriples
 from graphqa.lexsim import load_lexicon
@@ -11,12 +16,14 @@ from graphqa.pipeline import (
     STAGE_TRAVERSAL,
     STATUS_ANSWERED,
     STATUS_UNPROCESSED,
+    AnswerTrace,
     PipelineConfig,
     QuestionInput,
     answer,
     format_trace,
 )
 from graphqa.traversal import RankerConfig
+from tests.conftest import fixture_path
 
 RES = "http://dbpedia.org/resource/"
 DBO = "http://dbpedia.org/ontology/"
@@ -171,3 +178,65 @@ def test_format_trace_unprocessed(golden_kb, gazetteer, lexicon, config):
     q = QuestionInput("q-x", "Who is the mayor of Gotham?", BERLIN_Q.tree.replace("Berlin", "Gotham"))
     trace = answer(golden_kb, gazetteer, lexicon, config, q)
     assert "status: unprocessed (entity_linking" in format_trace(trace)
+
+
+_LABELS = st.sampled_from(
+    ["S", "SBARQ", "SQ", "WHNP", "WHADVP", "WP", "WRB", "NP", "NN", "NNS", "NNP",
+     "VP", "VB", "VBZ", "VBN", "VBD", "PP", "IN", "DT", "CC", "JJ", "PRP", "."]
+)
+_GOLDEN = load_dataset(fixture_path("golden.jsonl"))
+_LEAF_RE = re.compile(r"\(\S+ ([^()\s]+)\)")
+_WORDS = sorted({w for q in _GOLDEN for w in _LEAF_RE.findall(q.tree)})
+
+
+@st.composite
+def _tree_over(draw, words):
+    """A random bracketed tree whose leaves are ``words`` in order."""
+    if len(words) == 1:
+        leaf = f"({draw(_LABELS)} {words[0]})"
+        return f"({draw(_LABELS)} {leaf})" if draw(st.booleans()) else leaf
+    cuts = sorted(draw(st.sets(st.integers(1, len(words) - 1), min_size=1, max_size=2)))
+    parts = [words[a:b] for a, b in zip([0, *cuts], [*cuts, len(words)])]
+    return f"({draw(_LABELS)} {' '.join(draw(_tree_over(part)) for part in parts)})"
+
+
+@st.composite
+def _question_inputs(draw):
+    """Arbitrary text; a golden input with its tree cut short; a golden
+    question's words, possibly with one changed, under its own tree with the
+    same change or under a random tree."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return QuestionInput("q-fuzz", draw(st.text(max_size=60)), draw(st.text(max_size=80)))
+    base = draw(st.sampled_from(_GOLDEN))
+    if kind == 1:
+        cut = draw(st.integers(0, len(base.tree)))
+        return QuestionInput("q-fuzz", base.question, base.tree[:cut] + draw(st.text(max_size=5)))
+    words = _LEAF_RE.findall(base.tree)
+    tree = base.tree
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(words) - 1))
+        old, new = words[at], draw(st.sampled_from(_WORDS))
+        words[at] = new
+        tree = re.sub(rf" {re.escape(old)}\)", f" {new})", tree, count=1)
+    if draw(st.booleans()):
+        tree = draw(_tree_over(words))
+    return QuestionInput("q-fuzz", " ".join(words), tree)
+
+
+_STAGES = {STAGE_LINKING, STAGE_STRUCTURE, STAGE_TRAVERSAL, STAGE_RANKING}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_question_inputs())
+def test_answer_is_total_and_repeatable(golden_kb, gazetteer, lexicon, q):
+    trace = answer(golden_kb, gazetteer, lexicon, PipelineConfig(), q)
+    assert isinstance(trace, AnswerTrace)
+    if trace.status == STATUS_ANSWERED:
+        assert trace.answers and trace.failed_stage is None
+    else:
+        assert trace.status == STATUS_UNPROCESSED
+        assert trace.failed_stage in _STAGES and trace.failure_reason
+    again = answer(golden_kb, gazetteer, lexicon, PipelineConfig(), q)
+    assert repr(again) == repr(trace)
+    assert format_trace(again) == format_trace(trace)
