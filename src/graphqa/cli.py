@@ -73,8 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(loader, path):
     try:
         return loader(path)
-    except UnicodeDecodeError as exc:
-        raise ResourceFailure(f"{path}: {exc}") from exc
     except (GraphQAError, OSError) as exc:
         raise ResourceFailure(str(exc)) from exc
 

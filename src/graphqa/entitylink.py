@@ -15,15 +15,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Mapping, Union
 
-from .errors import GraphQAError
-from .kbstore import collector_paused
+from .kbstore import LineError, collector_paused, load_file, read_rows
 
 DEFAULT_LINK_THRESHOLD = 0.15
 
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
 
 
-class GazetteerError(GraphQAError):
+class GazetteerError(LineError):
     """Raised for malformed gazetteer files."""
 
 
@@ -62,36 +61,25 @@ def normalize_surface(text: str) -> str:
 
 
 @collector_paused()
-def load_gazetteer(source: Union[str, IO], path_name: str = "<gazetteer>") -> Gazetteer:
-    """Parse a TSV gazetteer: ``surface TAB iri TAB prior TAB kind``."""
-    if hasattr(source, "read"):
-        data = source.read()
-    else:
-        data = source
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+def load_gazetteer(source: Union[str, bytes, IO]) -> Gazetteer:
+    """Parse a TSV gazetteer, ``surface TAB iri TAB prior TAB kind``, from text,
+    UTF-8 bytes or a stream; raises GazetteerError on the first bad line."""
     raw: dict[str, list[GazetteerEntry]] = {}
-    for lineno, line in enumerate(data.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        cols = [c.strip() for c in stripped.split("\t")]
-        if len(cols) != 4:
-            raise GazetteerError(f"{path_name} line {lineno}: expected 4 tab-separated columns")
-        surface, entity, raw_prior, raw_kind = cols
+    for lineno, line, cells in read_rows(source, 4, GazetteerError):
+        surface, entity, raw_prior, raw_kind = cells
         key = normalize_surface(surface)
         if not key or not entity:
-            raise GazetteerError(f"{path_name} line {lineno}: empty surface or entity")
+            raise GazetteerError(lineno, line, "empty surface or entity")
         try:
             prior = float(raw_prior)
         except ValueError as exc:
-            raise GazetteerError(f"{path_name} line {lineno}: bad prior {raw_prior!r}") from exc
+            raise GazetteerError(lineno, line, f"bad prior {raw_prior!r}") from exc
         if not 0.0 <= prior <= 1.0:
-            raise GazetteerError(f"{path_name} line {lineno}: prior {prior} outside [0, 1]")
+            raise GazetteerError(lineno, line, f"prior {prior} outside [0, 1]")
         try:
             kind = EntityKind(raw_kind)
         except ValueError as exc:
-            raise GazetteerError(f"{path_name} line {lineno}: unknown kind {raw_kind!r}") from exc
+            raise GazetteerError(lineno, line, f"unknown kind {raw_kind!r}") from exc
         raw.setdefault(key, []).append(GazetteerEntry(entity, prior, kind))
     entries = {
         key: tuple(sorted(items, key=lambda e: (-e.prior, e.entity)))
@@ -102,8 +90,7 @@ def load_gazetteer(source: Union[str, IO], path_name: str = "<gazetteer>") -> Ga
 
 
 def load_gazetteer_file(path: str) -> Gazetteer:
-    with open(path, "r", encoding="utf-8") as handle:
-        return load_gazetteer(handle, path_name=path)
+    return load_file(load_gazetteer, path)
 
 
 def _best_resource(entries: tuple[GazetteerEntry, ...]) -> GazetteerEntry | None:

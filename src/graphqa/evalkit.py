@@ -176,8 +176,15 @@ def run_dataset(
 def load_dataset(path: str) -> list[QuestionInput]:
     """Read a JSON-lines dataset: {id, question, tree, gold} per line."""
     questions: list[QuestionInput] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
+    # Binary mode: records end at "\n" only, so a raw U+2028 or U+0085 inside
+    # a JSON string stays in its record.
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DatasetError(
+                    f"{path} line {lineno}: invalid utf-8 byte {raw[exc.start]:#04x}") from exc
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -194,6 +201,8 @@ def load_dataset(path: str) -> list[QuestionInput]:
             if not question or not tree:
                 raise DatasetError(f"{path} line {lineno}: empty question or tree")
             gold = record.get("gold")
+            if gold is not None and not isinstance(gold, list):
+                raise DatasetError(f"{path} line {lineno}: gold must be a list of strings")
             gold_set = frozenset(str(g) for g in gold) if gold else None
             questions.append(QuestionInput(qid, question, tree, gold_set))
     return questions

@@ -17,9 +17,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from sys import intern
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Callable, Iterable, Iterator, TypeVar, Union
 
 from .errors import GraphQAError
+
+T = TypeVar("T")
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 RDFS_LABEL = "http://www.w3.org/2000/01/rdf-schema#label"
@@ -47,17 +49,25 @@ _NUMBER_DATATYPES = frozenset(
 )
 
 
-class NTriplesError(GraphQAError):
-    """Malformed N-Triples input; carries the line number, the raw line and
-    the reason.  The message starts with the file's path when one is given."""
+class LineError(GraphQAError):
+    """Bad input on one line of a text resource: the line number, the raw line,
+    the reason and the file's path, which starts the message when given."""
 
-    def __init__(self, lineno: int, text: str, reason: str = "malformed triple",
-                 path: str | None = None):
+    def __init__(self, lineno: int, text: str, reason: str, path: str | None = None):
         self.lineno = lineno
         self.text = text
         self.reason = reason
+        self.path = path
         where = f"{path} line" if path else "line"
         super().__init__(f"{where} {lineno}: {reason}: {text.strip()!r}")
+
+
+class NTriplesError(LineError):
+    """Malformed N-Triples input."""
+
+    def __init__(self, lineno: int, text: str, reason: str = "malformed triple",
+                 path: str | None = None):
+        super().__init__(lineno, text, reason, path)
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -310,9 +320,10 @@ def parse_ntriples_line(line: str, lineno: int) -> Triple | None:
     return Triple(subject, predicate, obj)
 
 
-def _read_lines(source: Union[str, bytes, IO]) -> Iterator[str]:
-    """The lines of ``str.splitlines()`` over the whole input, read one
-    newline-terminated piece at a time; bytes are decoded as UTF-8."""
+def _read_lines(source: Union[str, bytes, IO],
+                error: type[LineError] = NTriplesError) -> Iterator[str]:
+    """The lines of ``str.splitlines()`` over the whole input, read one piece
+    per newline; a byte that is not UTF-8 raises ``error`` on its own line."""
     if isinstance(source, str):
         # Not io.StringIO: it copies the text into 4 bytes per character.
         source = (m.group() for m in _PIECE_RE.finditer(source))
@@ -328,11 +339,25 @@ def _read_lines(source: Union[str, bytes, IO]) -> Iterator[str]:
                 head = piece[:exc.start].decode("utf-8")
                 index = len((head + "x").splitlines()) - 1
                 text = piece.decode("utf-8", "backslashreplace").splitlines()[index]
-                raise NTriplesError(count + index + 1, text,
-                                    f"invalid utf-8 byte {piece[exc.start]:#04x}") from exc
+                raise error(count + index + 1, text,
+                            f"invalid utf-8 byte {piece[exc.start]:#04x}") from exc
         lines = piece.splitlines()
         count += len(lines)
         yield from lines
+
+
+def read_rows(source: Union[str, bytes, IO], columns: int,
+              error: type[LineError]) -> Iterator[tuple[int, str, list[str]]]:
+    """Number, raw line and stripped cells of each tab-separated row, skipping
+    blank lines and ``#`` comments; a row without ``columns`` cells raises ``error``."""
+    for lineno, line in enumerate(_read_lines(source, error), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        cells = stripped.split("\t")
+        if len(cells) != columns:
+            raise error(lineno, line, f"expected {columns} tab-separated columns")
+        yield lineno, line, [c.strip() for c in cells]
 
 
 @contextmanager
@@ -371,12 +396,17 @@ def load_ntriples(source: Union[str, bytes, IO]) -> KnowledgeBase:
         raise NTriplesError(lineno, line, str(exc)) from exc
 
 
-def load_ntriples_file(path: str) -> KnowledgeBase:
+def load_file(loader: Callable[[IO], T], path: str) -> T:
+    """Run ``loader`` on the binary file at ``path``; a line error gains the path."""
     with open(path, "rb") as handle:
         try:
-            return load_ntriples(handle)
-        except NTriplesError as exc:
-            raise NTriplesError(exc.lineno, exc.text, exc.reason, path) from exc
+            return loader(handle)
+        except LineError as exc:
+            raise type(exc)(exc.lineno, exc.text, exc.reason, path) from exc
+
+
+def load_ntriples_file(path: str) -> KnowledgeBase:
+    return load_file(load_ntriples, path)
 
 
 def read_json_object(path: str, what: str) -> dict:
@@ -384,7 +414,7 @@ def read_json_object(path: str, what: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or a byte that is not UTF-8
             raise GraphQAError(f"{what} {path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise GraphQAError(f"{what} {path}: expected a JSON object")

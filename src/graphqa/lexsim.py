@@ -12,8 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import IO, Mapping, Union
 
-from .errors import GraphQAError
-from .kbstore import collector_paused
+from .kbstore import LineError, collector_paused, load_file, read_rows
 
 STEM_MATCH_SCORE = 0.8
 
@@ -29,7 +28,7 @@ STOP_WORDS = frozenset(_ARTICLES | _COPULAS | _PREPOSITIONS)
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
-class LexiconError(GraphQAError):
+class LexiconError(LineError):
     """Raised for malformed lexicon files (bad columns or out-of-range scores)."""
 
 
@@ -88,35 +87,22 @@ def word_similarity(lex: SimilarityLexicon, w1: str, w2: str) -> float:
 
 
 @collector_paused()
-def load_lexicon(source: Union[str, IO], path_name: str = "<lexicon>") -> SimilarityLexicon:
-    """Parse a TSV lexicon: ``word1 <TAB> word2 <TAB> score``, ``#`` comments."""
-    if hasattr(source, "read"):
-        data = source.read()
-    else:
-        data = source
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+def load_lexicon(source: Union[str, bytes, IO]) -> SimilarityLexicon:
+    """Parse a TSV lexicon, ``word1 TAB word2 TAB score``, from text, UTF-8
+    bytes or a stream; raises LexiconError on the first bad line."""
     pairs: dict[tuple[str, str], float] = {}
-    for lineno, line in enumerate(data.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        cols = [c.strip() for c in stripped.split("\t")]
-        if len(cols) != 3:
-            raise LexiconError(f"{path_name} line {lineno}: expected 3 tab-separated columns")
-        w1, w2, raw = cols
+    for lineno, line, (w1, w2, raw) in read_rows(source, 3, LexiconError):
         if not w1 or not w2:
-            raise LexiconError(f"{path_name} line {lineno}: empty word")
+            raise LexiconError(lineno, line, "empty word")
         try:
             score = float(raw)
         except ValueError as exc:
-            raise LexiconError(f"{path_name} line {lineno}: bad score {raw!r}") from exc
+            raise LexiconError(lineno, line, f"bad score {raw!r}") from exc
         if not 0.0 <= score <= 1.0:
-            raise LexiconError(f"{path_name} line {lineno}: score {score} outside [0, 1]")
+            raise LexiconError(lineno, line, f"score {score} outside [0, 1]")
         pairs[_pair_key(w1, w2)] = score
     return SimilarityLexicon(pairs)
 
 
 def load_lexicon_file(path: str) -> SimilarityLexicon:
-    with open(path, "r", encoding="utf-8") as handle:
-        return load_lexicon(handle, path_name=path)
+    return load_file(load_lexicon, path)

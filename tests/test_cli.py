@@ -1,5 +1,7 @@
 import io
+import json
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -180,8 +182,12 @@ def test_non_utf8_kb_exits_two(tmp_path, capsys):
     ("--kb", '<http://example.org/a> <http://example.org/p> "café" .\n'.encode("latin-1"),
      " line 1: invalid utf-8 byte 0xe9"),
     ("--kb", b"<http://example.org/a> <http://example.org/p> .\n", " line 1: malformed triple"),
-    ("--gazetteer", "Café\thttp://example.org/Cafe\t0.9\tResource\n".encode("latin-1"), ": 'utf-8' codec"),
-    ("--lexicon", "café\tbar\t0.5\n".encode("latin-1"), ": 'utf-8' codec"),
+    ("--gazetteer", "Café\thttp://example.org/Cafe\t0.9\tResource\n".encode("latin-1"),
+     " line 1: invalid utf-8 byte 0xe9"),
+    ("--lexicon", "café\tbar\t0.5\n".encode("latin-1"), " line 1: invalid utf-8 byte 0xe9"),
+    ("--prefixes", '{"res": "http://example.org/Café"}'.encode("latin-1"), ": invalid JSON"),
+    ("--types-config", '{"Person": ["http://example.org/Café"]}'.encode("latin-1"),
+     ": invalid JSON"),
 ])
 def test_bad_resource_file_is_named(tmp_path, capsys, option, content, reason):
     path = tmp_path / "resource.txt"
@@ -189,3 +195,28 @@ def test_bad_resource_file_is_named(tmp_path, capsys, option, content, reason):
     argv = ["ask", *resource_args(), option, str(path), BERLIN_Q, BERLIN_TREE]
     assert main(argv) == EXIT_RESOURCE
     assert f"{path}{reason}" in capsys.readouterr().err
+
+
+def test_eval_non_utf8_dataset_names_its_line(tmp_path, capsys):
+    golden = Path(fixture_path("golden.jsonl")).read_bytes()
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(golden + b'{"id": "q-caf\xe9"}\n')
+    argv = ["eval", *resource_args(), "--dataset", str(path)]
+    assert main(argv) == EXIT_RESOURCE
+    lineno = golden.count(b"\n") + 1
+    assert f"{path} line {lineno}: invalid utf-8 byte 0xe9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sep", ["\u2028", "\u0085"])
+def test_eval_keeps_a_raw_line_separator_inside_its_record(tmp_path, sep):
+    with open(fixture_path("golden.jsonl"), encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle]
+    records[0]["id"] += f"{sep}raw"
+    path = tmp_path / "data.jsonl"
+    path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records),
+                    encoding="utf-8")
+    code, out = run_cli(["eval", *resource_args(), "--dataset", str(path)])
+    assert code == EXIT_OK
+    assert f"\n{records[0]['id']}\tright\t" in out
+    summary = [l for l in out.split("\n") if l.strip().startswith("5")]
+    assert summary[0].split()[:4] == ["5", "5", "4", "1"]

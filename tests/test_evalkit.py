@@ -182,6 +182,25 @@ def test_load_dataset_reports_bad_line(tmp_path):
     assert "line 1" in str(err.value) or "line 2" in str(err.value)
 
 
+@pytest.mark.parametrize("gold", ['"http://dbpedia.org/resource/Klaus_Wowereit"', "5", '{"a": 1}'])
+def test_load_dataset_rejects_gold_that_is_not_a_list(tmp_path, gold):
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"id": "q0", "question": "Who?", "tree": "(NP (NN x))", "gold": ["a"]}\n'
+                    f'{{"id": "q1", "question": "Who?", "tree": "(NP (NN x))", "gold": {gold}}}\n')
+    with pytest.raises(DatasetError) as err:
+        load_dataset(str(path))
+    assert str(err.value) == f"{path} line 2: gold must be a list of strings"
+
+
+def test_load_dataset_accepts_missing_null_and_empty_gold(tmp_path):
+    path = tmp_path / "data.jsonl"
+    base = {"question": "Who?", "tree": "(NP (NN x))"}
+    records = [{"id": "q0", **base}, {"id": "q1", **base, "gold": None},
+               {"id": "q2", **base, "gold": []}]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert [q.gold for q in load_dataset(str(path))] == [None, None, None]
+
+
 def test_format_report_rows_match_scores(golden_kb, gazetteer, lexicon, config, golden_questions):
     report = run_dataset(golden_kb, gazetteer, lexicon, config, golden_questions)
     text = format_report(report)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphqa.entitylink import GazetteerError, load_gazetteer
+from graphqa.entitylink import GazetteerError, load_gazetteer, load_gazetteer_file
 from graphqa.kbstore import (
     DATE_CLASS,
     NUMBER_CLASS,
@@ -13,6 +13,7 @@ from graphqa.kbstore import (
     XSD,
     Direction,
     KnowledgeBase,
+    LineError,
     Literal,
     NTriplesError,
     Triple,
@@ -20,10 +21,11 @@ from graphqa.kbstore import (
     decamelize,
     is_iri,
     load_ntriples,
+    load_ntriples_file,
     shorten_iri,
     term_text,
 )
-from graphqa.lexsim import LexiconError, load_lexicon
+from graphqa.lexsim import LexiconError, load_lexicon, load_lexicon_file
 
 RES = "http://dbpedia.org/resource/"
 DBO = "http://dbpedia.org/ontology/"
@@ -173,8 +175,10 @@ def test_load_leaves_collector_state_alone(enabled):
              ["<http://x/a> <http://x/p>", "<http://x/a\u2003> <http://x/p> <http://x/b> .",
               b"<http://x/a> <http://x/p> \"\xe9\" ."]),
             (load_gazetteer, "Berlin\thttp://x/Berlin\t0.9\tResource", GazetteerError,
-             ["Berlin\thttp://x/Berlin", "Berlin\thttp://x/Berlin\t2\tResource"]),
-            (load_lexicon, "mayor\tleader\t0.7", LexiconError, ["mayor\tleader", "a\tb\tx"]),
+             ["Berlin\thttp://x/Berlin", "Berlin\thttp://x/Berlin\t2\tResource",
+              b"Caf\xe9\thttp://x/Cafe\t0.9\tResource"]),
+            (load_lexicon, "mayor\tleader\t0.7", LexiconError,
+             ["mayor\tleader", "a\tb\tx", b"caf\xe9\tbar\t0.5"]),
         ]
         for load, good, error, bads in loads:
             load(good)
@@ -209,6 +213,26 @@ def test_non_utf8_byte_reports_its_line(sep):
     assert err.value.lineno == 3
     assert err.value.text == '<http://x/a> <http://x/p> "caf\\xe9" .'
     assert "utf-8" in str(err.value)
+
+
+@pytest.mark.parametrize("loader, error, good", [
+    (load_ntriples_file, NTriplesError, "<http://x/a> <http://x/p> <http://x/b> ."),
+    (load_gazetteer_file, GazetteerError, "Berlin\thttp://x/Berlin\t0.9\tResource"),
+    (load_lexicon_file, LexiconError, "mayor\tleader\t0.7"),
+])
+@pytest.mark.parametrize("bad, reason", [
+    (b"caf\xe9", "invalid utf-8 byte 0xe9"),
+    (b"x", None),
+])
+def test_file_loaders_name_the_path_and_line(tmp_path, loader, error, good, bad, reason):
+    path = tmp_path / "resource"
+    path.write_bytes(b"# comment\n\n" + good.encode() + b"\n" + bad + b"\n")
+    with pytest.raises(error) as err:
+        loader(str(path))
+    assert isinstance(err.value, LineError)
+    assert (err.value.path, err.value.lineno, err.value.text) == (
+        str(path), 4, bad.decode("utf-8", "backslashreplace"))
+    assert str(err.value).startswith(f"{path} line 4: {reason or ''}")
 
 
 def test_fixture_round_trip(berlin_kb, golden_kb):
