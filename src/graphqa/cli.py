@@ -1,13 +1,15 @@
 """Command-line interface: ask single questions, run batch evaluation.
 
-Exit codes: 0 for answered or unprocessed questions, 1 for usage errors,
-2 for resource or parse failures.
+Exit codes: 0 for answered or unprocessed questions; 1 for usage errors,
+an out-of-range flag value included, reported before any file is read;
+2 for a file that is missing or malformed, or a dataset with no questions.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import evalkit, pipeline
 from .entitylink import DEFAULT_LINK_THRESHOLD, load_gazetteer_file
@@ -15,7 +17,7 @@ from .errors import GraphQAError
 from .focus import load_coarse_classes
 from .kbstore import format_term, load_ntriples_file, load_prefixes
 from .lexsim import load_lexicon_file
-from .traversal import DEFAULT_BEAM, DEFAULT_MAX_K, DEFAULT_TAU, RankerConfig
+from .traversal import DEFAULT_BEAM, DEFAULT_TAU, RankerConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,8 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="minimum per-step predicate similarity (default: %(default)s)")
         p.add_argument("--beam", type=int, default=DEFAULT_BEAM,
                        help="candidate predicates kept per step (default: %(default)s)")
-        p.add_argument("--max-k", type=int, default=DEFAULT_MAX_K,
-                       help="hop bound cap (default: %(default)s)")
         p.add_argument("--respect-direction", action="store_true",
                        help="bind only edges leaving the frontier node (default: off)")
         p.add_argument("--exclude-predicate", action="append", default=[],
@@ -70,37 +70,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(loader, path):
-    try:
-        return loader(path)
-    except (GraphQAError, OSError) as exc:
-        raise ResourceFailure(str(exc)) from exc
+def _config(args) -> pipeline.PipelineConfig:
+    ranker = RankerConfig(
+        tau=args.tau,
+        beam=args.beam,
+        respect_direction=args.respect_direction,
+        exclude_predicates=frozenset(args.exclude_predicate),
+    )
+    return pipeline.PipelineConfig(link_threshold=args.link_threshold, ranker=ranker)
 
 
-def _load_resources(args):
-    kb = _load(load_ntriples_file, args.kb)
-    gaz = _load(load_gazetteer_file, args.gazetteer)
-    lex = _load(load_lexicon_file, args.lexicon)
-    prefixes = _load(load_prefixes, args.prefixes) if args.prefixes else None
-    coarse = _load(load_coarse_classes, args.types_config) if args.types_config else None
-    try:
-        ranker = RankerConfig(
-            tau=args.tau,
-            beam=args.beam,
-            max_k=args.max_k,
-            respect_direction=args.respect_direction,
-            exclude_predicates=frozenset(args.exclude_predicate),
-        )
-        cfg = pipeline.PipelineConfig(
-            link_threshold=args.link_threshold, ranker=ranker, coarse_classes=coarse
-        )
-    except ValueError as exc:
-        raise ResourceFailure(str(exc)) from exc
+def _load_resources(args, cfg):
+    kb = load_ntriples_file(args.kb)
+    gaz = load_gazetteer_file(args.gazetteer)
+    lex = load_lexicon_file(args.lexicon)
+    prefixes = load_prefixes(args.prefixes) if args.prefixes else None
+    if args.types_config:
+        cfg = replace(cfg, coarse_classes=load_coarse_classes(args.types_config))
     return kb, gaz, lex, cfg, prefixes
-
-
-class ResourceFailure(Exception):
-    pass
 
 
 def _answer_one(kb, gaz, lex, cfg, prefixes, question, tree, verbosity, out):
@@ -131,11 +118,11 @@ def _iter_stdin_pairs(stream):
             yield pending, line
             pending = None
     if pending is not None:
-        raise ResourceFailure("stdin ended with a question missing its tree line")
+        raise GraphQAError("stdin ended with a question missing its tree line")
 
 
-def _cmd_ask(args, verbosity) -> int:
-    kb, gaz, lex, cfg, prefixes = _load_resources(args)
+def _cmd_ask(args, cfg, verbosity) -> int:
+    kb, gaz, lex, cfg, prefixes = _load_resources(args, cfg)
     if args.question is not None and args.tree is not None:
         _answer_one(kb, gaz, lex, cfg, prefixes, args.question, args.tree, verbosity, sys.stdout)
         return EXIT_OK
@@ -145,19 +132,12 @@ def _cmd_ask(args, verbosity) -> int:
     return EXIT_OK
 
 
-def _cmd_eval(args) -> int:
-    kb, gaz, lex, cfg, prefixes = _load_resources(args)
-    try:
-        questions = evalkit.load_dataset(args.dataset)
-    except (GraphQAError, OSError) as exc:
-        raise ResourceFailure(str(exc)) from exc
+def _cmd_eval(args, cfg) -> int:
+    kb, gaz, lex, cfg, prefixes = _load_resources(args, cfg)
+    questions = evalkit.load_dataset(args.dataset)
     if not questions:
-        raise ResourceFailure(f"no questions in dataset {args.dataset}")
-    try:
-        report = evalkit.run_dataset(kb, gaz, lex, cfg, questions)
-    except GraphQAError as exc:
-        raise ResourceFailure(str(exc)) from exc
-    print(evalkit.format_report(report))
+        raise GraphQAError(f"no questions in dataset {args.dataset}")
+    print(evalkit.format_report(evalkit.run_dataset(kb, gaz, lex, cfg, questions)))
     return EXIT_OK
 
 
@@ -169,17 +149,17 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "ask":
-            verbosity = max(args.verbose, 2 if args.explain else 0)
-            return _cmd_ask(args, verbosity)
-        if args.command == "explain":
-            return _cmd_ask(args, verbosity=2)
+        cfg = _config(args)
+    except ValueError as exc:
+        parser.error(str(exc))
+    try:
         if args.command == "eval":
-            return _cmd_eval(args)
-    except ResourceFailure as exc:
+            return _cmd_eval(args, cfg)
+        verbosity = 2 if args.command == "explain" else max(args.verbose, 2 if args.explain else 0)
+        return _cmd_ask(args, cfg, verbosity)
+    except (GraphQAError, OSError) as exc:
         print(f"graphqa: error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    return EXIT_USAGE
 
 
 def entry() -> None:

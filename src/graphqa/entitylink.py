@@ -63,7 +63,9 @@ def normalize_surface(text: str) -> str:
 @collector_paused()
 def load_gazetteer(source: Union[str, bytes, IO]) -> Gazetteer:
     """Parse a TSV gazetteer, ``surface TAB iri TAB prior TAB kind``, from text,
-    UTF-8 bytes or a stream; raises GazetteerError on the first bad line."""
+    UTF-8 bytes or a stream; raises GazetteerError on the first bad line.  A
+    text-mode stream decodes itself, so pass bytes or a binary stream to get
+    the line of a byte that is not UTF-8 rather than a bare UnicodeDecodeError."""
     raw: dict[str, list[GazetteerEntry]] = {}
     for lineno, line, cells in read_rows(source, 4, GazetteerError):
         surface, entity, raw_prior, raw_kind = cells

@@ -72,33 +72,24 @@ _DATE_RE = re.compile(r"^(\d{4}-\d{2}-\d{2})")
 
 
 def normalize_answer(value: Union[Term, str]) -> tuple[str, object]:
-    """Reduce an answer (term or raw gold string) to a comparable key."""
+    """Reduce an answer (term or raw gold string) to a comparable key.  Only
+    date-typed literals and gold strings are read as dates; NaN text stays a
+    string, because a NaN number equals nothing, not even itself."""
     if isinstance(value, Literal):
-        pseudo = pseudo_class_of(value)
         text = value.lexical.strip()
-        if pseudo == DATE_CLASS:
-            m = _DATE_RE.match(text)
-            if m:
-                return ("date", m.group(1))
-            try:
-                return ("num", Decimal(text))
-            except InvalidOperation:
-                return ("str", text)
-        try:
-            return ("num", Decimal(text))
-        except InvalidOperation:
-            pass
-        return ("str", text)
-    text = str(value).strip()
-    if "://" in text or text.startswith("_:"):
-        return ("iri", text)
-    m = _DATE_RE.match(text)
-    if m:
-        return ("date", m.group(1))
+        date = _DATE_RE.match(text) if pseudo_class_of(value) == DATE_CLASS else None
+    else:
+        text = str(value).strip()
+        if "://" in text or text.startswith("_:"):
+            return ("iri", text)
+        date = _DATE_RE.match(text)
+    if date:
+        return ("date", date.group(1))
     try:
-        return ("num", Decimal(text))
+        number = Decimal(text)
     except InvalidOperation:
         return ("str", text)
+    return ("str", text) if number.is_nan() else ("num", number)
 
 
 def _f1(p: float, r: float) -> float:
@@ -201,8 +192,11 @@ def load_dataset(path: str) -> list[QuestionInput]:
             if not question or not tree:
                 raise DatasetError(f"{path} line {lineno}: empty question or tree")
             gold = record.get("gold")
-            if gold is not None and not isinstance(gold, list):
-                raise DatasetError(f"{path} line {lineno}: gold must be a list of strings")
+            # exact types: a JSON true or false loads as bool, a subclass of int
+            if gold is not None and (not isinstance(gold, list)
+                                     or any(type(g) not in (str, int, float) for g in gold)):
+                raise DatasetError(
+                    f"{path} line {lineno}: gold must be a list of strings or numbers")
             gold_set = frozenset(str(g) for g in gold) if gold else None
             questions.append(QuestionInput(qid, question, tree, gold_set))
     return questions

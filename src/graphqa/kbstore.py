@@ -379,7 +379,9 @@ def load_ntriples(source: Union[str, bytes, IO]) -> KnowledgeBase:
 
     Raises NTriplesError (with line number) on the first malformed line,
     invalid IRI or byte that is not UTF-8.  An empty input yields a valid
-    empty store.
+    empty store.  A text-mode stream decodes itself, so pass bytes or a binary
+    stream to get the line of a byte that is not UTF-8 rather than a bare
+    UnicodeDecodeError.
     """
     lineno, line = 0, ""
 

@@ -89,7 +89,9 @@ def word_similarity(lex: SimilarityLexicon, w1: str, w2: str) -> float:
 @collector_paused()
 def load_lexicon(source: Union[str, bytes, IO]) -> SimilarityLexicon:
     """Parse a TSV lexicon, ``word1 TAB word2 TAB score``, from text, UTF-8
-    bytes or a stream; raises LexiconError on the first bad line."""
+    bytes or a stream; raises LexiconError on the first bad line.  A
+    text-mode stream decodes itself, so pass bytes or a binary stream to get
+    the line of a byte that is not UTF-8 rather than a bare UnicodeDecodeError."""
     pairs: dict[tuple[str, str], float] = {}
     for lineno, line, (w1, w2, raw) in read_rows(source, 3, LexiconError):
         if not w1 or not w2:

@@ -103,13 +103,6 @@ def answer(
 
     trace.focus = extract_focus(q.question, tree)
 
-    if trace.structure.k > cfg.ranker.max_k:
-        trace.failed_stage = STAGE_STRUCTURE
-        trace.failure_reason = (
-            f"structure needs {trace.structure.k} hops, limit is {cfg.ranker.max_k}"
-        )
-        return trace
-
     try:
         sub = build_subgraph(
             kb, trace.structure.seed_entities(), trace.structure.k,
@@ -152,10 +145,9 @@ def _node_text(node, prefixes) -> str:
     return node.name
 
 
-def format_paths(paths: list[CandidatePath], prefixes=None, limit: int | None = None) -> list[str]:
+def format_paths(paths: list[CandidatePath], prefixes=None) -> list[str]:
     lines = []
-    shown = paths if limit is None else paths[:limit]
-    for rank, path in enumerate(shown, start=1):
+    for rank, path in enumerate(paths, start=1):
         lines.append(
             f"{rank}. total={path.total:.4f} "
             f"(predicates={path.predicate_mean:.4f} + type={path.type_score:.4f})"
@@ -172,7 +164,7 @@ def format_paths(paths: list[CandidatePath], prefixes=None, limit: int | None = 
     return lines
 
 
-def format_trace(trace: AnswerTrace, prefixes=None, verbose: bool = True) -> str:
+def format_trace(trace: AnswerTrace, prefixes=None) -> str:
     """Render one structured text record per question for the explain view."""
     lines = [f"question: {trace.question.question}"]
     if trace.status == STATUS_ANSWERED:
@@ -193,7 +185,7 @@ def format_trace(trace: AnswerTrace, prefixes=None, verbose: bool = True) -> str
         lines.append(f"focus: phrase={trace.focus.phrase!r} headword={trace.focus.headword!r}")
     else:
         lines.append("focus: none")
-    if verbose and trace.paths:
+    if trace.paths:
         lines.append("paths:")
         lines.extend(format_paths(trace.paths, prefixes))
     if trace.answers:

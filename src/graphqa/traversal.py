@@ -32,7 +32,6 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_TAU = 0.3
 DEFAULT_BEAM = 5
-DEFAULT_MAX_K = 2
 
 
 class UnknownSeedError(GraphQAError):
@@ -49,7 +48,6 @@ class NoPathError(GraphQAError):
 class RankerConfig:
     tau: float = DEFAULT_TAU
     beam: int = DEFAULT_BEAM
-    max_k: int = DEFAULT_MAX_K
     respect_direction: bool = False
     exclude_predicates: frozenset[str] = field(default_factory=frozenset)
 
@@ -58,8 +56,6 @@ class RankerConfig:
             raise ValueError(f"tau must be within [0, 1], got {self.tau}")
         if self.beam < 1:
             raise ValueError(f"beam must be >= 1, got {self.beam}")
-        if self.max_k < 1:
-            raise ValueError(f"max_k must be >= 1, got {self.max_k}")
 
 
 @dataclass
@@ -68,8 +64,6 @@ class Subgraph:
 
     layers: dict[Term, int]
     adjacency: dict[Term, tuple[tuple[str, Term, Direction], ...]]
-    k: int
-    seeds: tuple[str, ...]
 
     @property
     def nodes(self) -> set[Term]:
@@ -117,7 +111,7 @@ def build_subgraph(
             if other in layers and pred not in exclude_predicates
         )
         adjacency[node] = edges
-    return Subgraph(layers, adjacency, k, tuple(dict.fromkeys(seeds)))
+    return Subgraph(layers, adjacency)
 
 
 def predicate_score(
@@ -284,6 +278,4 @@ def enumerate_and_rank(
     answer terms, and is therefore byte-stable across runs.  Raises
     NoPathError when nothing survives.
     """
-    if structure.k > cfg.max_k:
-        raise ValueError(f"structure needs {structure.k} hops, config allows {cfg.max_k}")
     return _Ranker(kb, sub, structure, f, lex, cfg, coarse_classes).rank()

@@ -79,6 +79,20 @@ def test_usage_error_exits_one():
     assert err.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tau", "1.5", "tau must be within [0, 1], got 1.5"),
+    ("--beam", "0", "beam must be >= 1, got 0"),
+    ("--link-threshold", "2", "link threshold must be within [0, 1], got 2.0"),
+])
+def test_out_of_range_flag_is_usage_error_before_any_file_is_read(capsys, flag, value, message):
+    argv = ["ask", *resource_args(), "--kb", "/nonexistent/kb.nt", flag, value,
+            BERLIN_Q, BERLIN_TREE]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == EXIT_USAGE
+    assert f"graphqa: error: {message}" in capsys.readouterr().err
+
+
 def test_question_without_tree_is_usage_error(capsys):
     assert main(["ask", *resource_args(), BERLIN_Q]) == EXIT_USAGE
     assert "tree" in capsys.readouterr().err

@@ -89,6 +89,10 @@ HAND_CASES = [
     ({"a", "b"}, {"a", "b", "c", "d", "e"}, 0.4, 1.0),
     ({"a", "b", "c", "d"}, {"a"}, 1.0, 0.25),
     ({"x"}, {"x", "y", "z"}, 1.0 / 3.0, 1.0),
+    # NaN text compares as a string: a NaN number would equal nothing, and
+    # a signaling NaN cannot even be hashed
+    ({"NaN"}, {Literal("NaN")}, 1.0, 1.0),
+    ({"sNaN"}, {Literal("sNaN")}, 1.0, 1.0),
 ]
 
 
@@ -182,14 +186,15 @@ def test_load_dataset_reports_bad_line(tmp_path):
     assert "line 1" in str(err.value) or "line 2" in str(err.value)
 
 
-@pytest.mark.parametrize("gold", ['"http://dbpedia.org/resource/Klaus_Wowereit"', "5", '{"a": 1}'])
+@pytest.mark.parametrize("gold", ['"http://dbpedia.org/resource/Klaus_Wowereit"', "5", '{"a": 1}',
+                                  "[null]", '["a", true]', '[{"a": 1}]', '[["a"]]'])
 def test_load_dataset_rejects_gold_that_is_not_a_list(tmp_path, gold):
     path = tmp_path / "data.jsonl"
     path.write_text('{"id": "q0", "question": "Who?", "tree": "(NP (NN x))", "gold": ["a"]}\n'
                     f'{{"id": "q1", "question": "Who?", "tree": "(NP (NN x))", "gold": {gold}}}\n')
     with pytest.raises(DatasetError) as err:
         load_dataset(str(path))
-    assert str(err.value) == f"{path} line 2: gold must be a list of strings"
+    assert str(err.value) == f"{path} line 2: gold must be a list of strings or numbers"
 
 
 def test_load_dataset_accepts_missing_null_and_empty_gold(tmp_path):

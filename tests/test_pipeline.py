@@ -107,18 +107,6 @@ def test_all_filtered_is_unprocessed_at_ranking(berlin_kb, gazetteer, lexicon):
     assert trace.failed_stage == STAGE_RANKING
 
 
-def test_hop_bound_cap_is_unprocessed(juan_kb, gazetteer, lexicon):
-    q = QuestionInput(
-        "q-parents",
-        "Who are the parents of the wife of Juan Carlos I?",
-        "(SBARQ (WHNP (WP Who)) (SQ (VBP are) (NP (NP (DT the) (NNS parents)) (PP (IN of) (NP (NP (DT the) (NN wife)) (PP (IN of) (NP (NNP Juan) (NNP Carlos) (NNP I))))))) (. ?))",
-    )
-    cfg = PipelineConfig(ranker=RankerConfig(max_k=1))
-    trace = answer(juan_kb, gazetteer, lexicon, cfg, q)
-    assert trace.status == STATUS_UNPROCESSED
-    assert trace.failed_stage == STAGE_STRUCTURE
-
-
 def test_partial_answer_when_near_synonym_outranks():
     kb = load_ntriples(
         f"<{RES}Canada> <{DBO}capital> <{RES}Ottawa> .\n"

@@ -233,12 +233,3 @@ def test_config_validation():
         RankerConfig(tau=1.5)
     with pytest.raises(ValueError):
         RankerConfig(beam=0)
-    with pytest.raises(ValueError):
-        RankerConfig(max_k=0)
-
-
-def test_structure_beyond_cap_rejected(juan_kb, gazetteer, lexicon):
-    structure, focus = understanding(*PARENTS, gazetteer)
-    sub = build_subgraph(juan_kb, structure.seed_entities(), structure.k)
-    with pytest.raises(ValueError):
-        enumerate_and_rank(juan_kb, sub, structure, focus, lexicon, RankerConfig(max_k=1))
