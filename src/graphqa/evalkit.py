@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal, InvalidOperation
 from typing import Iterable, Sequence, Union
 
@@ -156,10 +156,7 @@ def run_dataset(
             processed += 1
         score = score_question(q.gold, trace.answers, q.id)
         if trace.failed_stage is not None:
-            score = QuestionScore(
-                score.id, score.precision, score.recall, score.f1,
-                score.verdict, trace.failed_stage,
-            )
+            score = replace(score, failed_stage=trace.failed_stage)
         scores.append(score)
     return build_report(scores, processed)
 

@@ -1,10 +1,10 @@
-"""In-memory RDF triple store with bidirectional adjacency, labels and types.
+"""In-memory RDF triple store: two adjacency indexes and a triple count.
 
 The store is immutable once built: loading streams parsed N-Triples lines
-into the constructor, which deduplicates them and freezes four indexes
-(outgoing edges, incoming edges, labels, entity types).  The outgoing index
-is the only copy of the triple set.  Every query method returns a sorted list
-so that all downstream candidate ranking stays deterministic.
+into the constructor, which deduplicates them and freezes the outgoing and
+incoming edge indexes.  The outgoing index is the only copy of the triple
+set; labels and types are its ``rdfs:label`` and ``rdf:type`` runs.  Every
+query method returns a sorted list so that downstream ranking is deterministic.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import gc
 import io
 import json
 import re
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -169,18 +170,16 @@ def decamelize(name: str) -> str:
 
 
 class KnowledgeBase:
-    """Immutable triple set with forward/backward adjacency and label/type maps.
+    """Immutable triple set held as two adjacency indexes.
 
-    ``out_index`` maps a subject to its sorted ``(predicate, object)`` pairs,
-    ``in_index`` maps an object to its sorted ``(predicate, subject)`` pairs;
-    the two are exact inverses of each other.
+    ``out_index`` maps a subject to its ``(predicate, object)`` pairs sorted by
+    predicate, then object text, and holds its labels and types; ``in_index``
+    maps an object to its sorted ``(predicate, subject)`` pairs, the exact inverse.
     """
 
     def __init__(self, triples: Iterable[Triple]):
         out: dict[str, set] = {}
         inn: dict[Term, set] = {}
-        labels: dict[str, set] = {}
-        types: dict[str, set] = {}
         size = 0
         for t in triples:
             subject, predicate, obj = t.subject, t.predicate, t.object
@@ -201,10 +200,6 @@ class KnowledgeBase:
             pairs.add((predicate, obj))
             size += 1
             inn.setdefault(obj, set()).add((predicate, subject))
-            if predicate == RDFS_LABEL and isinstance(obj, Literal):
-                labels.setdefault(subject, set()).add(obj.lexical)
-            if predicate == RDF_TYPE and isinstance(obj, str):
-                types.setdefault(subject, set()).add(obj)
 
         # Each set is replaced by its sorted list in place, so only one of
         # the two is alive per node.
@@ -215,8 +210,6 @@ class KnowledgeBase:
         self.out_index = out
         self.in_index = inn
         self._size = size
-        self._labels = {s: sorted(vals) for s, vals in labels.items()}
-        self._types = {s: sorted(vals) for s, vals in types.items()}
 
     @property
     def triples(self) -> frozenset:
@@ -245,18 +238,23 @@ class KnowledgeBase:
         found.sort(key=lambda e: (e[0], term_text(e[1]), e[2].value))
         return found
 
+    def _run(self, x: str, predicate: str) -> list[tuple[str, Term]]:
+        """The pairs of ``out_index[x]`` with ``predicate``, bisected by 1-tuple probes, which
+        never compare objects; ``predicate + "\\0"`` is the least string above ``predicate``."""
+        pairs = self.out_index.get(x, ())
+        start = bisect_left(pairs, (predicate,))
+        return pairs[start:bisect_left(pairs, (predicate + "\0",), start)]
+
     def labels_of(self, x: str) -> list[str]:
         """Explicit label literals of ``x``, else one decamelized fallback."""
-        explicit = self._labels.get(x)
-        if explicit:
-            return list(explicit)
-        return [decamelize(local_name(x))]
+        labels = {o.lexical for _, o in self._run(x, RDFS_LABEL) if isinstance(o, Literal)}
+        return sorted(labels) or [decamelize(local_name(x))]
 
     def types_of(self, x: Term) -> list[str]:
         """Declared classes of an entity; literals map to a pseudo-class."""
         if isinstance(x, Literal):
             return [pseudo_class_of(x)]
-        return list(self._types.get(x, []))
+        return sorted(o for _, o in self._run(x, RDF_TYPE) if isinstance(o, str))
 
     def to_ntriples(self) -> str:
         lines = sorted(
@@ -307,7 +305,7 @@ def parse_ntriples_line(line: str, lineno: int) -> Triple | None:
         elif caret is None:
             obj = Literal(lexical)
         else:
-            obj = Literal(lexical, datatype) if datatype else None
+            obj = Literal(lexical, intern(datatype)) if datatype else None
     if subject is None or predicate is None or obj is None:
         raise NTriplesError(lineno, line)
     if predicate.startswith("_:"):
@@ -394,6 +392,8 @@ def load_ntriples(source: Union[str, bytes, IO]) -> KnowledgeBase:
 
     try:
         return KnowledgeBase(parsed())
+    except UnicodeDecodeError:
+        raise  # from a text-mode stream, which decodes ahead of ``lineno``
     except ValueError as exc:
         raise NTriplesError(lineno, line, str(exc)) from exc
 

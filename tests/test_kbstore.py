@@ -11,6 +11,7 @@ from graphqa.kbstore import (
     NUMBER_CLASS,
     STRING_CLASS,
     XSD,
+    XSD_STRING,
     Direction,
     KnowledgeBase,
     LineError,
@@ -22,6 +23,8 @@ from graphqa.kbstore import (
     is_iri,
     load_ntriples,
     load_ntriples_file,
+    local_name,
+    pseudo_class_of,
     shorten_iri,
     term_text,
 )
@@ -300,3 +303,80 @@ def test_neighbors_sorted_deterministically(kb, node):
 
 def test_literal_has_no_instance_dict():
     assert not hasattr(Literal("1999", XSD + "gYear"), "__dict__")
+
+
+def test_typed_literals_share_their_datatype():
+    kb = load_ntriples(
+        f'<http://x/a> <http://x/p> "1"^^<{XSD}integer> .\n'
+        f'<http://x/b> <http://x/p> "2"^^<{XSD}integer> .\n'.encode()
+    )
+    [(_, one)] = kb.out_index["http://x/a"]
+    [(_, two)] = kb.out_index["http://x/b"]
+    assert one.datatype is two.datatype
+
+
+@pytest.mark.parametrize("bad_lineno", [5, 2001])
+def test_text_stream_raises_its_own_decode_error(bad_lineno):
+    # A text-mode stream decodes a block ahead of the line being parsed, so
+    # no line number can be given: the decode error itself must come out.
+    good = b'<http://x/a> <http://x/p> "ok" .\n'
+    bad = '<http://x/a> <http://x/p> "caf\u00e9" .\n'.encode("latin-1")
+    data = good * (bad_lineno - 1) + bad + good
+    with pytest.raises(UnicodeDecodeError):
+        load_ntriples(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+
+
+def test_store_holds_only_the_two_adjacency_indexes(berlin_kb):
+    assert set(vars(berlin_kb)) == {"out_index", "in_index", "_size"}
+
+
+RDFS = "http://www.w3.org/2000/01/rdf-schema#"
+RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+_nodes = st.sampled_from(["http://t/a", "http://t/b", "http://t/someThing", "_:n1"])
+_classes = st.sampled_from(["http://t/Class", "http://t/Zed", "_:c1"])
+# Predicates that sort just before and just after the two runs read.
+_near_preds = st.sampled_from([
+    RDFS_LABEL, RDF_TYPE, RDFS + "labek", RDFS + "label2", RDF + "typd", RDF + "type2", "http://t/p",
+])
+_lexicals = st.sampled_from(["Berlin", "berlin", "b\u00e9", 'say "hi"', "two words", ""])
+_objects = st.one_of(
+    _nodes,
+    _classes,
+    st.builds(Literal, _lexicals, st.just(XSD_STRING), st.sampled_from(["", "en", "de"])),
+    st.builds(Literal, _lexicals, st.sampled_from([XSD + "integer", XSD + "date", "http://t/dt"])),
+)
+# Always present: several labels on one subject, one lexical form under two
+# language tags, a typed literal label, blank-node and literal types, and
+# neighbours on both sides of each run.
+_base = [
+    Triple("http://t/a", RDFS + "labek", Literal("before")),
+    Triple("http://t/a", RDFS + "label2", Literal("after")),
+    Triple("http://t/a", RDF + "typd", "http://t/Before"),
+    Triple("http://t/a", RDF + "type2", "http://t/After"),
+    Triple("http://t/a", RDFS_LABEL, Literal("Berlin", XSD_STRING, "en")),
+    Triple("http://t/a", RDFS_LABEL, Literal("Berlin", XSD_STRING, "de")),
+    Triple("http://t/a", RDFS_LABEL, Literal("alpha")),
+    Triple("http://t/a", RDFS_LABEL, Literal("7", XSD + "integer")),
+    Triple("http://t/a", RDF_TYPE, "_:c1"),
+    Triple("http://t/a", RDF_TYPE, Literal("Class")),
+    Triple("http://t/a", RDF_TYPE, "http://t/Class"),
+]
+_label_kbs = st.lists(st.builds(Triple, _nodes, _near_preds, _objects), max_size=30).map(
+    lambda extra: KnowledgeBase(_base + extra))
+
+
+@settings(max_examples=100, derandomize=True)
+@given(_label_kbs)
+def test_labels_and_types_match_a_scan_of_the_triples(kb):
+    triples = kb.triples
+    nodes = {t.subject for t in triples} | {t.predicate for t in triples} | {
+        t.object for t in triples} | {"http://t/unknownNode"}
+    for x in nodes:
+        if isinstance(x, Literal):
+            assert kb.types_of(x) == [pseudo_class_of(x)]
+            continue
+        labels = sorted({t.object.lexical for t in triples if t.subject == x
+                         and t.predicate == RDFS_LABEL and isinstance(t.object, Literal)})
+        assert kb.labels_of(x) == (labels or [decamelize(local_name(x))])
+        assert kb.types_of(x) == sorted(t.object for t in triples if t.subject == x
+                                        and t.predicate == RDF_TYPE and isinstance(t.object, str))
