@@ -67,7 +67,8 @@ class ParseTree:
         return " ".join(leaf.token for leaf in self.leaves())
 
 
-_TOKEN_SPLIT_RE = re.compile(r"[()\s]")
+# A bracket, a run of other non-space characters, or the end of the text.
+_TREE_TOKEN_RE = re.compile(r"[()]|[^()\s]+|\Z")
 
 # Deepest constituent nesting parse_bracketed accepts.  Parser output for a
 # question is about ten levels deep; the tree walks here are recursive, so
@@ -78,100 +79,80 @@ MAX_TREE_DEPTH = 200
 def parse_bracketed(text: str) -> ParseTree:
     """Parse a Penn-style bracketed tree.
 
-    Spans are assigned by joining the leaf tokens with single spaces; use
-    align_to_question to re-anchor them on the original question string.
+    The text is split into brackets and atoms by one pattern pass, then read
+    by recursive descent; an error names the character position of the token
+    it stops at.  Leaf spans come from joining the leaf tokens with single
+    spaces; align_to_question re-anchors them on the original question.
     """
-    pos = 0
-    n = len(text)
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def read_atom() -> str:
-        nonlocal pos
-        start = pos
-        while pos < n and not _TOKEN_SPLIT_RE.match(text[pos]):
-            pos += 1
-        if pos == start:
-            raise TreeSyntaxError(pos, "expected a label or token")
-        return text[start:pos]
-
     offset = 0
 
-    def read_node(depth: int) -> ParseTree:
-        nonlocal pos, offset
+    # ``tokens`` is an argument, not a closure variable: the recursive closure
+    # is a reference cycle, and it should not keep the scanner alive.
+    def read_node(tokens: Iterator[re.Match], depth: int, pos: int) -> ParseTree:
+        """The constituent whose '(', at ``pos``, was the last token read."""
+        nonlocal offset
         if depth > MAX_TREE_DEPTH:
             raise TreeSyntaxError(pos, f"tree nested deeper than {MAX_TREE_DEPTH} levels")
-        skip_ws()
-        if pos >= n or text[pos] != "(":
-            raise TreeSyntaxError(pos, "expected '('")
-        pos += 1
-        skip_ws()
-        label = read_atom()
+        m = next(tokens)
+        label = m.group()
+        if label in ("(", ")", ""):
+            raise TreeSyntaxError(m.start(), "expected a label or token")
         children: list[ParseTree] = []
-        leaf_token: str | None = None
+        token: str | None = None
         while True:
-            skip_ws()
-            if pos >= n:
-                raise TreeSyntaxError(pos, "unbalanced brackets")
-            if text[pos] == ")":
-                pos += 1
+            m = next(tokens)
+            tok, pos = m.group(), m.start()
+            if tok == ")":
                 break
-            if text[pos] == "(":
-                if leaf_token is not None:
-                    raise TreeSyntaxError(pos, "mixed token and constituent content")
-                children.append(read_node(depth + 1))
+            if not tok:
+                raise TreeSyntaxError(pos, "unbalanced brackets")
+            if token is not None or (children and tok != "("):
+                raise TreeSyntaxError(pos, "mixed token and constituent content")
+            if tok == "(":
+                children.append(read_node(tokens, depth + 1, pos))
             else:
-                if leaf_token is not None or children:
-                    raise TreeSyntaxError(pos, "mixed token and constituent content")
-                leaf_token = read_atom()
-                start = offset
-                offset = start + len(leaf_token)
-                leaf_span = (start, offset)
-                offset += 1  # single joining space
-                leaf_start, leaf_end = leaf_span
-        if leaf_token is not None:
-            return ParseTree(label, (), leaf_token, leaf_start, leaf_end)
+                token = tok
+        if token is not None:
+            start = offset
+            offset += len(token) + 1  # the token and one joining space
+            return ParseTree(label, (), token, start, start + len(token))
         if not children:
-            raise TreeSyntaxError(pos, f"empty constituent ({label})")
+            raise TreeSyntaxError(pos + 1, f"empty constituent ({label})")  # past its ')'
         return ParseTree(label, tuple(children), None, children[0].start, children[-1].end)
 
-    skip_ws()
-    root = read_node(1)
-    skip_ws()
-    if pos != n:
-        raise TreeSyntaxError(pos, "trailing content after tree")
+    tokens = _TREE_TOKEN_RE.finditer(text)
+    m = next(tokens)
+    if m.group() != "(":
+        raise TreeSyntaxError(m.start(), "expected '('")
+    root = read_node(tokens, 1, m.start())
+    m = next(tokens)  # the end of the text never ends a constituent, so it is still to come
+    if m.group():
+        raise TreeSyntaxError(m.start(), "trailing content after tree")
     return root
 
 
 def align_to_question(tree: ParseTree, question: str) -> ParseTree:
     """Rebuild the tree with leaf spans anchored in the question string.
 
-    Each leaf token is located left to right; alphanumeric tokens must match
-    on word boundaries.  Raises AlignmentError when a token cannot be found.
+    One walk rebuilds the tree and locates each leaf token left to right as
+    it reaches it; alphanumeric tokens must match on word boundaries.  Raises
+    AlignmentError for the first token that cannot be found.
     """
     cursor = 0
-    spans: list[tuple[int, int]] = []
-    for leaf in tree.leaves():
-        token = leaf.token
-        if re.fullmatch(r"\w+", token):
-            match = re.compile(rf"\b{re.escape(token)}\b").search(question, cursor)
-            found = match.start() if match else -1
-        else:
-            found = question.find(token, cursor)
-        if found < 0:
-            raise AlignmentError(f"token {token!r} not found in question after offset {cursor}")
-        spans.append((found, found + len(token)))
-        cursor = found + len(token)
-
-    it = iter(spans)
 
     def rebuild(node: ParseTree) -> ParseTree:
+        nonlocal cursor
         if node.is_leaf:
-            start, end = next(it)
-            return ParseTree(node.label, (), node.token, start, end)
+            token = node.token
+            if re.fullmatch(r"\w+", token):
+                match = re.compile(rf"\b{re.escape(token)}\b").search(question, cursor)
+                found = match.start() if match else -1
+            else:
+                found = question.find(token, cursor)
+            if found < 0:
+                raise AlignmentError(f"token {token!r} not found in question after offset {cursor}")
+            cursor = found + len(token)
+            return ParseTree(node.label, (), token, found, cursor)
         kids = tuple(rebuild(c) for c in node.children)
         return ParseTree(node.label, kids, None, kids[0].start, kids[-1].end)
 

@@ -281,6 +281,7 @@ _LINE_RE = re.compile(
     r"[ \t]*(\.)?[ \t]*(?s:(.*))"
 )
 _PIECE_RE = re.compile(r"[^\n]*\n|[^\n]+")
+_LINE_END_RE = re.compile(r"\r\n|\r|\n")
 
 
 def parse_ntriples_line(line: str, lineno: int) -> Triple | None:
@@ -320,28 +321,31 @@ def parse_ntriples_line(line: str, lineno: int) -> Triple | None:
 
 def _read_lines(source: Union[str, bytes, IO],
                 error: type[LineError] = NTriplesError) -> Iterator[str]:
-    """The lines of ``str.splitlines()`` over the whole input, read one piece
-    per newline; a byte that is not UTF-8 raises ``error`` on its own line."""
+    """The lines of the whole input, each ended by ``\\n``, ``\\r\\n`` or ``\\r``
+    only, read one piece per newline; a byte that is not UTF-8 raises ``error``
+    on its own line."""
     if isinstance(source, str):
         # Not io.StringIO: it copies the text into 4 bytes per character.
         source = (m.group() for m in _PIECE_RE.finditer(source))
     elif isinstance(source, bytes):
         source = io.BytesIO(source)
-    count = 0
+    lineno = 0
     for piece in source:
-        if isinstance(piece, bytes):
-            try:
-                piece = piece.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                # Report the line with the bad byte; a piece can hold several.
-                head = piece[:exc.start].decode("utf-8")
-                index = len((head + "x").splitlines()) - 1
-                text = piece.decode("utf-8", "backslashreplace").splitlines()[index]
-                raise error(count + index + 1, text,
-                            f"invalid utf-8 byte {piece[exc.start]:#04x}") from exc
-        lines = piece.splitlines()
-        count += len(lines)
-        yield from lines
+        if isinstance(piece, str):
+            lines = _LINE_END_RE.split(piece)
+            if not lines[-1]:
+                lines.pop()  # the piece ended with a line ending, or was empty
+        else:
+            lines = piece.splitlines()  # bytes split at the three line endings only
+        for line in lines:
+            lineno += 1
+            if isinstance(line, bytes):
+                try:
+                    line = line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise error(lineno, line.decode("utf-8", "backslashreplace"),
+                                f"invalid utf-8 byte {line[exc.start]:#04x}") from exc
+            yield line
 
 
 def read_rows(source: Union[str, bytes, IO], columns: int,

@@ -18,7 +18,6 @@ canonical two-hop case but is not a general role disambiguator.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 from .errors import GraphQAError
@@ -27,8 +26,6 @@ from .intent import ANSWER, VAR, IntentStructure
 from .kbstore import Direction, KnowledgeBase, Literal, Term, term_text
 # unused here; perfbench/tracing.py wraps word_similarity in this module too
 from .lexsim import SimilarityLexicon, tokenize, word_similarity  # noqa: F401
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_TAU = 0.3
 DEFAULT_BEAM = 5
@@ -126,11 +123,10 @@ def predicate_score(
     The phrase words are scored against the predicate's labels by
     ``focus.label_score``.  When an extra phrase is supplied (the focus, for
     the step next to the answer) the better of the two phrase scores wins.
+    A phrase with no content words scores 0; ``StructEdge.empty_phrase``
+    records that case.
     """
-    words = tokenize(phrase)
-    if not words:
-        logger.warning("phrase %r has no content words; predicate %s scores 0", phrase, predicate)
-    score = label_score(kb, predicate, words, lex)
+    score = label_score(kb, predicate, tokenize(phrase), lex)
     if extra_phrase:
         score = max(score, label_score(kb, predicate, tokenize(extra_phrase), lex))
     return score

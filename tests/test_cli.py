@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -62,6 +65,19 @@ def test_ask_unprocessed_exits_zero():
     )
     assert code == EXIT_OK
     assert out.startswith("unprocessed: entity_linking")
+
+
+def test_empty_phrase_writes_nothing_to_stderr():
+    # A subprocess, so stderr is the real one and pytest's log capture is not installed.
+    tree = "(SBARQ (WHADVP (WRB Where)) (SQ (VBZ has) (NP (NNP Berlin)) (VP (VBN been))) (. ?))"
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    result = subprocess.run(
+        [sys.executable, "-m", "graphqa.cli", "ask", *resource_args(), "Where has Berlin been?", tree],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": os.path.normpath(src)},
+    )
+    assert result.returncode == EXIT_OK
+    assert result.stderr == ""
+    assert "unprocessed: path_ranking" in result.stdout
 
 
 def test_bad_lexicon_path_exits_two(capsys):

@@ -202,9 +202,11 @@ _line_text = st.lists(
 @settings(max_examples=200, derandomize=True)
 @given(_line_text)
 def test_lines_split_as_splitlines(text):
+    # bytes.splitlines() ends lines at "\n", "\r\n" and "\r" only, the N-Triples rule
     data = text.encode("utf-8")
+    expected = [line.decode("utf-8") for line in data.splitlines()]
     for source in (text, data, io.BytesIO(data), io.StringIO(text)):
-        assert list(_read_lines(source)) == text.splitlines()
+        assert list(_read_lines(source)) == expected
 
 
 @pytest.mark.parametrize("sep", ["\n", "\r\n", "\r", "\u2028"])
@@ -213,9 +215,22 @@ def test_non_utf8_byte_reports_its_line(sep):
     lines = [good.encode(), good.encode(), '<http://x/a> <http://x/p> "caf\u00e9" .'.encode("latin-1")]
     with pytest.raises(NTriplesError) as err:
         load_ntriples(sep.encode().join(lines) + b"\n")
-    assert err.value.lineno == 3
-    assert err.value.text == '<http://x/a> <http://x/p> "caf\\xe9" .'
+    bad = '<http://x/a> <http://x/p> "caf\\xe9" .'
+    if sep == "\u2028":  # not a line ending, so the three triples share line 1
+        assert (err.value.lineno, err.value.text) == (1, sep.join([good, good, bad]))
+    else:
+        assert (err.value.lineno, err.value.text) == (3, bad)
     assert "utf-8" in str(err.value)
+
+
+@pytest.mark.parametrize("char", [*"\v\f\x1c\x1d\x1e\x85\u2028\u2029"])
+def test_literals_with_other_line_breaks_round_trip(char):
+    escaped = load_ntriples(f'<http://a> <http://b> "x\\u{ord(char):04x}y" .\n')
+    raw = load_ntriples(f'<http://a> <http://b> "x{char}y" .\n'.encode("utf-8"))
+    assert escaped.triples == raw.triples == {Triple("http://a", "http://b", Literal(f"x{char}y"))}
+    text = escaped.to_ntriples()
+    for source in (text, text.encode("utf-8"), io.StringIO(text)):
+        assert load_ntriples(source).triples == escaped.triples
 
 
 @pytest.mark.parametrize("loader, error, good", [

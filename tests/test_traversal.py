@@ -1,9 +1,20 @@
 import pytest
 
-from graphqa.entitylink import detect_mentions
-from graphqa.focus import extract_focus
-from graphqa.intent import align_to_question, extract_structure, parse_bracketed
+from graphqa.entitylink import MentionLink, detect_mentions
+from graphqa.focus import Focus, extract_focus
+from graphqa.intent import (
+    ANSWER_NODE,
+    SEED,
+    VAR,
+    IntentStructure,
+    StructEdge,
+    StructNode,
+    align_to_question,
+    extract_structure,
+    parse_bracketed,
+)
 from graphqa.kbstore import DCT_SUBJECT, KnowledgeBase, Literal, Triple, load_ntriples
+from graphqa.lexsim import SimilarityLexicon
 from graphqa.traversal import (
     NoPathError,
     RankerConfig,
@@ -226,6 +237,28 @@ def test_paths_never_leave_subgraph(juan_kb, gazetteer, lexicon):
             assert node in sub.nodes
         for a in p.answers:
             assert a in sub.nodes
+
+
+def test_literal_variable_reads_only_edges_inside_the_ball():
+    # B shares A's literal, but literals are never expanded, so B is outside
+    # the 2-ball and the chain cannot reach it through the literal.
+    kb = load_ntriples(
+        f'<{RES}A> <{DBO}code> "X1" .\n'
+        f'<{RES}B> <{DBO}code> "X1" .\n'
+        f'<{RES}B> <{DBO}name> "bee" .'
+    )
+    seed, var = StructNode(SEED, RES + "A"), StructNode(VAR, "?v1")
+    structure = IntentStructure(
+        (ANSWER_NODE, var, seed),
+        (StructEdge(ANSWER_NODE, "code", var, (0, 4)), StructEdge(var, "code", seed, (5, 9))),
+        {seed.name: MentionLink(10, 11, "A", seed.name, 1.0)},
+        2,
+    )
+    sub = build_subgraph(kb, [seed.name], 2)
+    paths = enumerate_and_rank(kb, sub, structure, Focus(), SimilarityLexicon({}), RankerConfig())
+    assert [(p.answers, p.var_bindings) for p in paths] == [
+        (frozenset({RES + "A"}), (("?v1", Literal("X1")),))
+    ]
 
 
 def test_config_validation():
